@@ -151,7 +151,7 @@ HistogramResult Histogram::run(engine::ExecutionEngine &E, BufferId In,
     return Result;
   }
 
-  size_t Mark = E.deviceMark();
+  DeviceScope Scratch(Dev);
   BufferId BinsBuf = Dev.alloc(ScalarType::I32, NumBins);
   size_t PerBlock = static_cast<size_t>(BlockSize) * Coarsen;
   unsigned Grid = static_cast<unsigned>(
@@ -165,7 +165,6 @@ HistogramResult Histogram::run(engine::ExecutionEngine &E, BufferId In,
       Mode);
   if (!Result.Launch.ok()) {
     Result.Error = Result.Launch.Errors.front();
-    E.deviceRelease(Mark);
     return Result;
   }
 
@@ -175,6 +174,5 @@ HistogramResult Histogram::run(engine::ExecutionEngine &E, BufferId In,
   for (unsigned B = 0; B != NumBins; ++B)
     Result.Bins[B] = Dev.readInt(BinsBuf, B);
   Result.Ok = true;
-  E.deviceRelease(Mark);
   return Result;
 }

@@ -273,7 +273,7 @@ ScanResult Scan::runLevel(engine::ExecutionEngine &E, BufferId In,
   const ArchDesc &Arch = E.getArch();
   unsigned Grid = static_cast<unsigned>(
       std::max<size_t>(1, (N + BlockSize - 1) / BlockSize));
-  size_t Mark = E.deviceMark();
+  DeviceScope Scratch(Dev);
   BufferId Sums = Dev.alloc(ScalarType::I32, Grid);
 
   LaunchResult R1 = E.launch(
@@ -283,7 +283,6 @@ ScanResult Scan::runLevel(engine::ExecutionEngine &E, BufferId In,
       Mode);
   if (!R1.ok()) {
     Result.Error = R1.Errors.front();
-    E.deviceRelease(Mark);
     return Result;
   }
   Result.Seconds += modelKernelTime(Arch, R1).TotalSeconds;
@@ -296,7 +295,6 @@ ScanResult Scan::runLevel(engine::ExecutionEngine &E, BufferId In,
         runLevel(E, Sums, ScannedSums, Grid, Mode, Depth + 1);
     if (!Inner.Ok) {
       Result.Error = Inner.Error;
-      E.deviceRelease(Mark);
       return Result;
     }
     Result.Seconds += Inner.Seconds;
@@ -309,14 +307,12 @@ ScanResult Scan::runLevel(engine::ExecutionEngine &E, BufferId In,
         Mode);
     if (!R2.ok()) {
       Result.Error = R2.Errors.front();
-      E.deviceRelease(Mark);
       return Result;
     }
     Result.Seconds += modelKernelTime(Arch, R2).TotalSeconds;
     Result.KernelLaunches += 1;
   }
   Result.Ok = true;
-  E.deviceRelease(Mark);
   return Result;
 }
 

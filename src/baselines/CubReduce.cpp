@@ -249,7 +249,7 @@ FrameworkResult CubReduce::run(engine::ExecutionEngine &E, BufferId In,
   unsigned Grid = static_cast<unsigned>(
       std::max<size_t>(1, (N + TileElems - 1) / TileElems));
 
-  size_t Mark = E.deviceMark();
+  DeviceScope Scratch(Dev);
   BufferId Partials = Dev.alloc(Elem, Grid);
   BufferId Out = Dev.alloc(Elem, 1);
 
@@ -262,7 +262,6 @@ FrameworkResult CubReduce::run(engine::ExecutionEngine &E, BufferId In,
       Mode);
   if (!R1.ok()) {
     Result.Error = R1.Errors.front();
-    E.deviceRelease(Mark);
     return Result;
   }
   LaunchResult R2 = E.launch(
@@ -272,7 +271,6 @@ FrameworkResult CubReduce::run(engine::ExecutionEngine &E, BufferId In,
       ExecMode::Functional);
   if (!R2.ok()) {
     Result.Error = R2.Errors.front();
-    E.deviceRelease(Mark);
     return Result;
   }
 
@@ -286,6 +284,5 @@ FrameworkResult CubReduce::run(engine::ExecutionEngine &E, BufferId In,
   Result.IntValue = Dev.readInt(Out, 0);
   Result.Index = Dev.readIndex(Out, 0);
   Result.Ok = true;
-  E.deviceRelease(Mark);
   return Result;
 }

@@ -178,7 +178,7 @@ FrameworkResult KokkosReduce::run(engine::ExecutionEngine &E, BufferId In,
       static_cast<unsigned>(std::max<size_t>(
           1, (NumVecs + BlockSize - 1) / BlockSize)));
 
-  size_t Mark = E.deviceMark();
+  DeviceScope Scratch(Dev);
   BufferId Partials = Dev.alloc(Elem, Grid);
   BufferId Out = Dev.alloc(Elem, 1);
 
@@ -190,7 +190,6 @@ FrameworkResult KokkosReduce::run(engine::ExecutionEngine &E, BufferId In,
       Mode);
   if (!R1.ok()) {
     Result.Error = R1.Errors.front();
-    E.deviceRelease(Mark);
     return Result;
   }
   LaunchResult R2 = E.launch(
@@ -200,7 +199,6 @@ FrameworkResult KokkosReduce::run(engine::ExecutionEngine &E, BufferId In,
       ExecMode::Functional);
   if (!R2.ok()) {
     Result.Error = R2.Errors.front();
-    E.deviceRelease(Mark);
     return Result;
   }
 
@@ -218,6 +216,5 @@ FrameworkResult KokkosReduce::run(engine::ExecutionEngine &E, BufferId In,
   Result.IntValue = Dev.readInt(Out, 0);
   Result.Index = Dev.readIndex(Out, 0);
   Result.Ok = true;
-  E.deviceRelease(Mark);
   return Result;
 }

@@ -933,6 +933,51 @@ private:
     tgr_unreachable("unknown statement kind");
   }
 
+  /// The first global atomic into \p P, if any.
+  static const AtomicGlobalStmt *
+  findAtomicInto(const std::vector<Stmt *> &Body, const Param *P) {
+    for (const Stmt *S : Body) {
+      const AtomicGlobalStmt *Found = nullptr;
+      if (const auto *A = dyn_cast<AtomicGlobalStmt>(S))
+        Found = A->getParam() == P ? A : nullptr;
+      else if (const auto *If = dyn_cast<IfStmt>(S)) {
+        Found = findAtomicInto(If->getThen(), P);
+        if (!Found)
+          Found = findAtomicInto(If->getElse(), P);
+      } else if (const auto *F = dyn_cast<ForStmt>(S))
+        Found = findAtomicInto(F->getBody(), P);
+      if (Found)
+        return Found;
+    }
+    return nullptr;
+  }
+
+  /// Seeds the accumulator the kernel folds into with its op's identity.
+  /// Zero is the identity of Add/Sub/Any (and what stores overwrite).
+  void emitAccumulatorSeed(const Param *Acc, const std::string &RetTy) {
+    const AtomicGlobalStmt *A = findAtomicInto(K.getBody(), Acc);
+    reduce::IdentityCell Id =
+        reduce::getKernelIdentity(A ? A->getOp() : ReduceOp::Add, Acc->Elem);
+    if (Id.F == 0 && Id.I == 0 && Id.Idx == 0) {
+      OS << "  cudaMemset(" << Acc->Name << ", 0, sizeof(" << RetTy
+         << "));\n";
+      return;
+    }
+    IntConstExpr IntValue(Id.I, Acc->Elem);
+    FloatConstExpr FloatValue(Id.F, Acc->Elem);
+    const Expr *Value = isFloatType(Acc->Elem)
+                            ? static_cast<const Expr *>(&FloatValue)
+                            : &IntValue;
+    bool Pair = isArgReduce(A->getOp());
+    OS << "  " << RetTy << " init;\n  init" << (Pair ? ".v" : "") << " = ";
+    emitExpr(Value);
+    OS << ";\n";
+    if (Pair)
+      OS << "  init.i = " << Id.Idx << "ll;\n";
+    OS << "  cudaMemcpy(" << Acc->Name
+       << ", &init, sizeof(init), cudaMemcpyHostToDevice);\n";
+  }
+
   void emitHostWrapper() {
     // The Reduce_Grid shape of Listings 1/2: allocate the accumulator,
     // launch, return.
@@ -953,8 +998,7 @@ private:
     OS << "  " << RetTy << " *" << Params[0]->Name << ";\n";
     OS << "  cudaMalloc(&" << Params[0]->Name << ", sizeof(" << RetTy
        << "));\n";
-    OS << "  cudaMemset(" << Params[0]->Name << ", 0, sizeof(" << RetTy
-       << "));\n";
+    emitAccumulatorSeed(Params[0].get(), RetTy);
     OS << "  " << K.getName() << "<<<" << Options.GridExpr << ", "
        << Options.BlockExpr << ", " << Options.BlockExpr << " * sizeof("
        << RetTy << ")>>>(";

@@ -77,6 +77,25 @@ void ExecutionEngine::attachCompiler(const synth::KernelSynthesizer &S,
 
 namespace {
 
+/// Allocates the N-element check input shared by validation, race and
+/// fault checks: 1 + i % 17. It is one-signed and never equals an op
+/// identity (0 for Add/Any, the type extrema for Min/Max), so a kernel
+/// that folds a stray 0 or guard constant into the result gives a wrong
+/// answer; it is exact in f32. \p Ref, when given, accumulates the input.
+BufferId allocCheckInput(Device &Dev, ir::ScalarType Elem, size_t N,
+                         reduce::HostAccumulator *Ref = nullptr) {
+  BufferId In = Dev.alloc(Elem, N);
+  Buffer &B = Dev.get(In);
+  for (size_t I = 0; I != N; ++I) {
+    Cell C;
+    setI(C, 1 + static_cast<long long>(I % 17));
+    B.store(I, C);
+    if (Ref)
+      Ref->accumulate(C.F, C.I, static_cast<long long>(I));
+  }
+  return In;
+}
+
 /// Lowers \p V (and its second stage, recursively) to native form in
 /// place. Any stage failing plane inference fails the whole chain — mixed
 /// simulator/native execution of one variant would defeat the point.
@@ -223,22 +242,13 @@ ExecutionEngine::runReductionImpl(const synth::SynthesizedVariant &V,
 
   // Scratch accumulators live above this watermark and are dropped on every
   // exit path, so repeated calls never grow the device.
-  struct Scope {
-    Device &D;
-    size_t M;
-    ~Scope() { D.release(M); }
-  } Scratch{Dev, Dev.mark()};
+  DeviceScope Scratch(Dev);
 
   // Accumulator: one identity-initialized element for atomic grids, or a
   // per-block partials array for second-kernel variants (Listing 1).
   bool TwoKernel = V.Desc.usesSecondKernel();
   BufferId ReturnBuf = Dev.alloc(V.Elem, TwoKernel ? Config.GridDim : 1);
-  reduce::IdentityCell Id = reduce::getIdentity(V.Op, V.Elem);
-  Cell Identity;
-  Identity.F = Id.F;
-  Identity.I = Id.I;
-  Identity.Idx = Id.Idx;
-  *Dev.get(ReturnBuf).writable(0) = Identity;
+  Dev.get(ReturnBuf).store(0, reduce::getIdentity(V.Op, V.Elem));
 
   long long ObjectSize = static_cast<long long>(V.elementsPerBlock());
 
@@ -262,9 +272,7 @@ ExecutionEngine::runReductionImpl(const synth::SynthesizedVariant &V,
       return Status(NR.DeadlineExceeded ? StatusCode::DeadlineExceeded
                                         : StatusCode::LaunchError,
                     Out.Launch.Errors.front());
-    // Host wall-clock, not modeled time: what this backend is for. Mirror
-    // (re)conversion is excluded — it amortizes across a serving loop and
-    // is reported separately by the machine.
+    // Host wall-clock, not modeled time: what this backend is for.
     Out.Seconds = NR.ExecSeconds;
   } else {
     Out.Launch = Machine.launch(V.Compiled, Config, Args, Mode);
@@ -430,17 +438,10 @@ ExecutionEngine::raceCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
 
   // A real (written, non-virtual) input: RaceCheck runs the full grid
   // functionally, and virtual pattern buffers are read-only anyway.
-  size_t Mark = Dev.mark();
-  BufferId In = Dev.alloc((*V)->Elem, N);
-  for (size_t I = 0; I != N; ++I) {
-    Cell *C = Dev.get(In).writable(I);
-    C->I = static_cast<long long>(I % 17);
-    C->F = static_cast<double>(I % 17);
-  }
-
+  DeviceScope Scratch(Dev);
+  BufferId In = allocCheckInput(Dev, (*V)->Elem, N);
   auto Run = runReductionImpl(**V, In, N, ExecMode::RaceCheck,
                               Backend::Simulator);
-  Dev.release(Mark);
   if (!Run)
     return Run.status();
 
@@ -473,7 +474,7 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
       quarantineVariant(Desc, V.status());
     return V.status();
   }
-  size_t Mark = Dev.mark();
+  DeviceScope Scratch(Dev);
   VirtualPattern Pattern;
   BufferId In = Dev.allocVirtual((*V)->Elem, N, Pattern);
   // The simulator times its cycle model over sampled blocks; the native
@@ -491,10 +492,9 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
     BudgetEscalation = 1;
   }
   if (Out && B == Backend::NativeCpu)
-    // Steady-state wall-clock: the first run converted buffer mirrors and
-    // warmed caches; the second run is what a tuning/serving loop pays.
+    // Steady-state wall-clock: the first run materialized the virtual input
+    // and warmed caches; the second run is what a tuning/serving loop pays.
     Out = runReductionImpl(**V, In, N, Mode, B);
-  Dev.release(Mark);
   if (!Out) {
     quarantineVariant(Desc, Out.status());
     return Out.status();
@@ -533,24 +533,17 @@ Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
   // Materialized small-integer input: float32 sums of these values stay
   // exact (well under 2^24), so even the float comparison is exact in
   // practice and any mismatch is a real lost/corrupted update.
-  size_t Mark = Dev.mark();
-  BufferId In = Dev.alloc((*V)->Elem, N);
+  DeviceScope Scratch(Dev);
   ReduceOp Op = Synth->getOp();
   bool IsFloat = ir::isFloatType((*V)->Elem);
   reduce::HostAccumulator Ref(Op, (*V)->Elem);
-  for (size_t I = 0; I != N; ++I) {
-    Cell *C = Dev.get(In).writable(I);
-    C->I = static_cast<long long>(I % 17);
-    C->F = static_cast<double>(I % 17);
-    Ref.accumulate(C->F, C->I, static_cast<long long>(I));
-  }
+  BufferId In = allocCheckInput(Dev, (*V)->Elem, N, &Ref);
   double RefF = Ref.valueF();
   long long RefI = Ref.valueI();
   long long RefIdx = Ref.index();
 
   auto Run = runReductionImpl(**V, In, N, ExecMode::Functional, B);
   if (!Run) {
-    Dev.release(Mark);
     quarantineVariant(Desc, Run.status());
     return Run.status();
   }
@@ -563,7 +556,6 @@ Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
     auto Oracle = runReductionImpl(**V, In, N, ExecMode::Functional,
                                    Backend::Simulator);
     if (!Oracle) {
-      Dev.release(Mark);
       quarantineVariant(Desc, Oracle.status());
       return Oracle.status();
     }
@@ -580,7 +572,6 @@ Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
       Diverged = Run->IntValue != Oracle->IntValue;
     }
     if (Diverged) {
-      Dev.release(Mark);
       Status S(StatusCode::WrongResult,
                strformat("native/simulator divergence: native "
                          "(%.17g/%lld, idx %lld) vs simulator "
@@ -592,13 +583,12 @@ Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
       return S;
     }
   }
-  Dev.release(Mark);
 
   // Arg-reductions select (never sum), so both lanes compare exactly; the
   // winning index must match too — a variant that finds the right maximum
   // at the wrong position is wrong. Summing float ops keep the historical
-  // tolerance (the I%17 input makes even that comparison exact in
-  // practice).
+  // tolerance (the allocCheckInput data makes even that comparison exact
+  // in practice).
   bool Wrong;
   if (isArgReduce(Op)) {
     bool ValueWrong = IsFloat ? Run->FloatValue != RefF : Run->IntValue != RefI;
@@ -749,13 +739,8 @@ ExecutionEngine::faultCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
   if (!V)
     return V.status();
 
-  size_t Mark = Dev.mark();
-  BufferId In = Dev.alloc((*V)->Elem, N);
-  for (size_t I = 0; I != N; ++I) {
-    Cell *C = Dev.get(In).writable(I);
-    C->I = static_cast<long long>(I % 17);
-    C->F = static_cast<double>(I % 17);
-  }
+  DeviceScope Scratch(Dev);
+  BufferId In = allocCheckInput(Dev, (*V)->Elem, N);
 
   struct PlanScope {
     sim::SimtMachine &M;
@@ -768,15 +753,12 @@ ExecutionEngine::faultCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
   Machine.setFaultPlan(sim::FaultPlan());
   auto Ref = runReductionImpl(**V, In, N, ExecMode::Functional,
                               Backend::Simulator);
-  if (!Ref) {
-    Dev.release(Mark);
+  if (!Ref)
     return Ref.status(); // Broken without any fault: a real error.
-  }
 
   Machine.setFaultPlan(Plan);
   auto Run = runReductionImpl(**V, In, N, ExecMode::Functional,
                               Backend::Simulator);
-  Dev.release(Mark);
 
   FaultReport Report;
   Report.Kind = Plan.Kind;

@@ -5,23 +5,34 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Global-memory buffers of the simulated GPU. Cells are stored untyped
-/// (integer and floating views); the element type recorded at allocation
-/// selects the view, mirroring how kernels interpret raw device pointers.
+/// Global-memory buffers of the simulated GPU. Each buffer stores its
+/// elements in one typed plane chosen by its element type (see Plane):
+/// `float` for F32, `double` for F64 and widened `long long` for every
+/// integer type. Buffers that carry (value, index) pairs for arg-reductions
+/// additionally own an index plane, created on the first store of a nonzero
+/// index (or by a backend about to run a pair kernel that writes them).
+///
+/// Kernels see memory through Cells: Buffer::load widens one element into
+/// a register value (both numeric views filled the way setI/setF fill
+/// them, the index view 0 when the buffer has no index plane), and
+/// Buffer::store narrows a register value back into the planes. The native
+/// backend binds its typed views straight to the planes (zero-copy).
 ///
 /// Buffers come in two flavors:
 ///  - dense: backed by host memory (the default);
 ///  - virtual: read-only pattern-generated contents for the paper's
 ///    multi-hundred-million-element benchmark sizes, where materializing
 ///    the array would need gigabytes. Virtual buffers have an analytic
-///    reduction so benchmark results remain checkable.
+///    reduction so benchmark results remain checkable. The simulator reads
+///    the pattern directly; the native backend materializes the plane once
+///    (Buffer::materialize) and keeps it for the buffer's lifetime.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TANGRAM_GPUSIM_DEVICE_H
 #define TANGRAM_GPUSIM_DEVICE_H
 
-#include "ir/KernelIR.h"
+#include "ir/Bytecode.h"
 
 #include <cassert>
 #include <cstdint>
@@ -29,10 +40,10 @@
 
 namespace tangram::sim {
 
-/// One device memory cell / register value. The integer field holds
-/// I32/U32/I64 data (narrow types stored widened to 64 bits, wrapped on
-/// operation); the floating field holds F32/F64 data (F32 rounded on every
-/// write). Idx is the index payload lane for (value, index) pair
+/// One register / shared-memory value of the simulator. The integer field
+/// holds I32/U32/I64 data (narrow types stored widened to 64 bits, wrapped
+/// on operation); the floating field holds F32/F64 data (F32 rounded on
+/// every write). Idx is the index payload lane for (value, index) pair
 /// reductions; Mov/Shfl/Ld/St copy whole cells, so payloads flow through
 /// every data path for free and only the pair-aware opcodes touch it.
 struct Cell {
@@ -40,6 +51,44 @@ struct Cell {
   double F = 0.0;
   long long Idx = 0;
 };
+
+/// Writes an integer result, mirroring into the float view (guards
+/// against int constants flowing into float arithmetic).
+inline void setI(Cell &C, long long V) {
+  C.I = V;
+  C.F = static_cast<double>(V);
+}
+
+/// Writes a floating result (rounded to float32 unless \p Ty is F64, so
+/// accumulation error matches 32-bit GPU math), mirroring into the
+/// integer view with the saturated conversion.
+inline void setF(Cell &C, double V, ir::ScalarType Ty = ir::ScalarType::F32) {
+  C.F = Ty == ir::ScalarType::F64 ? V : static_cast<float>(V);
+  C.I = ir::saturatingIntOf(C.F);
+}
+
+/// Folds \p V into \p Target under reduce op \p Op: the atomic-update and
+/// host-epilogue semantics of every backend. The element type picks the
+/// authoritative value lane, pair ops fold (value, index) with the
+/// smaller-index tie-break, and the other numeric lane mirrors the result.
+void foldCell(ReduceOp Op, ir::ScalarType Ty, Cell &Target, const Cell &V);
+
+/// A typed storage plane: the host type that holds values of a scalar type.
+enum class Plane : unsigned char { Int, F32, F64 };
+
+const char *getPlaneName(Plane P);
+
+/// The plane that stores values of \p Ty.
+inline Plane planeOf(ir::ScalarType Ty) {
+  switch (Ty) {
+  case ir::ScalarType::F32:
+    return Plane::F32;
+  case ir::ScalarType::F64:
+    return Plane::F64;
+  default:
+    return Plane::Int;
+  }
+}
 
 using BufferId = unsigned;
 
@@ -71,44 +120,94 @@ struct VirtualPattern {
 /// A device-resident linear buffer (dense or virtual).
 class Buffer {
 public:
-  Buffer(ir::ScalarType Elem, size_t Count)
-      : Elem(Elem), Count(Count), Cells(Count) {}
+  /// A dense buffer, zero-filled.
+  Buffer(ir::ScalarType Elem, size_t Count);
+  /// A virtual buffer: no storage until materialize().
   Buffer(ir::ScalarType Elem, size_t Count, const VirtualPattern &Pattern)
-      : Elem(Elem), Count(Count), Virtual(true), Pattern(Pattern) {}
+      : Elem(Elem), P(planeOf(Elem)), Count(Count), Virtual(true),
+        Pattern(Pattern) {}
 
   ir::ScalarType getElemType() const { return Elem; }
+  Plane getPlane() const { return P; }
   size_t size() const { return Count; }
   bool isVirtual() const { return Virtual; }
-
-  Cell read(size_t I) const {
-    assert(I < Count && "device buffer read out of bounds");
-    return Virtual ? Pattern.at(I) : Cells[I];
-  }
-
-  /// Writable cell access; virtual buffers are read-only (the SIMT
-  /// machine reports writes to them as launch errors).
-  Cell *writable(size_t I) {
-    assert(I < Count && "device buffer write out of bounds");
-    return Virtual ? nullptr : &Cells[I];
-  }
-
   const VirtualPattern &getPattern() const { return Pattern; }
 
-  /// Mutation stamp: the device-clock tick of the last write to this
-  /// buffer (allocation counts as a write). Monotonic across buffer
-  /// reuse, so a stamp uniquely identifies one content version — the
-  /// native backend keys its typed mirror caches on it.
-  uint64_t getStamp() const { return Stamp; }
+  /// Element \p I as a register value.
+  Cell load(size_t I) const {
+    assert(I < Count && "device buffer read out of bounds");
+    if (Virtual)
+      return Pattern.at(I);
+    Cell C;
+    switch (P) {
+    case Plane::F32:
+      setF(C, F32[I]);
+      break;
+    case Plane::F64:
+      setF(C, F64[I], ir::ScalarType::F64);
+      break;
+    case Plane::Int:
+      setI(C, Ints[I]);
+      break;
+    }
+    if (!Idx.empty())
+      C.Idx = Idx[I];
+    return C;
+  }
+
+  /// Stores the value lane of \p C that matches this buffer's plane, and
+  /// its index lane (creating the index plane on the first nonzero one).
+  /// Virtual buffers are read-only: callers report the write as an error.
+  void store(size_t I, const Cell &C) {
+    assert(I < Count && !Virtual && "invalid device buffer store");
+    switch (P) {
+    case Plane::F32:
+      F32[I] = static_cast<float>(C.F);
+      break;
+    case Plane::F64:
+      F64[I] = C.F;
+      break;
+    case Plane::Int:
+      Ints[I] = C.I;
+      break;
+    }
+    if (Idx.empty() && C.Idx != 0)
+      Idx.assign(Count, 0);
+    if (!Idx.empty())
+      Idx[I] = C.Idx;
+  }
+
+  /// Typed plane storage (the plane matching getPlane() holds size()
+  /// elements; the others are null). Virtual buffers have none until
+  /// materialize().
+  float *getF32() { return F32.data(); }
+  double *getF64() { return F64.data(); }
+  long long *getInts() { return Ints.data(); }
+  /// Index plane, or null when the buffer carries no index payload.
+  long long *getIdx() { return Idx.empty() ? nullptr : Idx.data(); }
+
+  /// Creates the (zeroed) index plane if the buffer has none.
+  void ensureIdx() {
+    if (Idx.empty())
+      Idx.assign(Count, 0);
+  }
+
+  /// Fills a virtual buffer's plane from its pattern, once; a no-op for
+  /// dense buffers and on every later call.
+  void materialize();
 
 private:
   friend class Device;
 
   ir::ScalarType Elem;
+  Plane P;
   size_t Count;
   bool Virtual = false;
-  uint64_t Stamp = 0;
   VirtualPattern Pattern;
-  std::vector<Cell> Cells;
+  std::vector<float> F32;
+  std::vector<double> F64;
+  std::vector<long long> Ints;
+  std::vector<long long> Idx;
 };
 
 /// Owns all buffers of one simulated device.
@@ -116,7 +215,6 @@ class Device {
 public:
   BufferId alloc(ir::ScalarType Elem, size_t Count) {
     Buffers.emplace_back(Elem, Count);
-    Buffers.back().Stamp = ++MutationClock;
     return static_cast<BufferId>(Buffers.size() - 1);
   }
 
@@ -124,7 +222,6 @@ public:
   BufferId allocVirtual(ir::ScalarType Elem, size_t Count,
                         const VirtualPattern &Pattern) {
     Buffers.emplace_back(Elem, Count, Pattern);
-    Buffers.back().Stamp = ++MutationClock;
     return static_cast<BufferId>(Buffers.size() - 1);
   }
 
@@ -137,40 +234,22 @@ public:
     return Buffers[Id];
   }
 
-  /// Uploads 32-bit floats.
-  void writeFloats(BufferId Id, const std::vector<float> &Data) {
-    Buffer &B = get(Id);
-    assert(Data.size() <= B.size() && "upload larger than buffer");
-    for (size_t I = 0; I != Data.size(); ++I)
-      if (Cell *C = B.writable(I))
-        C->F = Data[I];
-    noteWrite(Id);
-  }
+  /// Uploads 32-bit floats (converted like setF into integer buffers).
+  /// Uploads into virtual buffers are ignored.
+  void writeFloats(BufferId Id, const std::vector<float> &Data);
 
-  /// Uploads 32-bit integers.
-  void writeInts(BufferId Id, const std::vector<int> &Data) {
-    Buffer &B = get(Id);
-    assert(Data.size() <= B.size() && "upload larger than buffer");
-    for (size_t I = 0; I != Data.size(); ++I)
-      if (Cell *C = B.writable(I))
-        C->I = Data[I];
-    noteWrite(Id);
-  }
-
-  /// Advances the device clock and stamps \p Id with the new tick. Called
-  /// by the upload helpers and by backends after they mutate a buffer's
-  /// cells, so mirror caches keyed on Buffer::getStamp() see the change.
-  void noteWrite(BufferId Id) { get(Id).Stamp = ++MutationClock; }
+  /// Uploads 32-bit integers (converted like setI into float buffers).
+  void writeInts(BufferId Id, const std::vector<int> &Data);
 
   double readFloat(BufferId Id, size_t Index) const {
-    return get(Id).read(Index).F;
+    return get(Id).load(Index).F;
   }
   long long readInt(BufferId Id, size_t Index) const {
-    return get(Id).read(Index).I;
+    return get(Id).load(Index).I;
   }
-  /// Index payload lane (pair reductions).
+  /// Index payload lane (pair reductions); 0 without an index plane.
   long long readIndex(BufferId Id, size_t Index) const {
-    return get(Id).read(Index).Idx;
+    return get(Id).load(Index).Idx;
   }
 
   /// Releases every buffer (between benchmark iterations).
@@ -178,7 +257,7 @@ public:
 
   /// Allocation watermark for scoped/stack-style buffer lifetimes: buffers
   /// allocated after mark() can be dropped with release(), leaving earlier
-  /// ids valid (ids are allocation indices).
+  /// ids valid (ids are allocation indices). See DeviceScope.
   size_t mark() const { return Buffers.size(); }
 
   /// Drops every buffer allocated at or after \p Mark.
@@ -190,9 +269,20 @@ public:
 
 private:
   std::vector<Buffer> Buffers;
-  /// Monotonic write clock; never reset, so stamps stay unique across
-  /// reset()/release() buffer-id reuse.
-  uint64_t MutationClock = 0;
+};
+
+/// Releases, on scope exit, every buffer allocated on \p Dev during the
+/// scope's lifetime.
+class DeviceScope {
+public:
+  explicit DeviceScope(Device &Dev) : Dev(Dev), Mark(Dev.mark()) {}
+  ~DeviceScope() { Dev.release(Mark); }
+  DeviceScope(const DeviceScope &) = delete;
+  DeviceScope &operator=(const DeviceScope &) = delete;
+
+private:
+  Device &Dev;
+  size_t Mark;
 };
 
 } // namespace tangram::sim

@@ -80,7 +80,7 @@ Cell FaultInjector::corrupt(Cell V, ir::ScalarType Ty) const {
     Bits ^= 1u << Bit;
     std::memcpy(&F, &Bits, sizeof(F));
     Out.F = F;
-    // Mirror into the integer view the way setF does, guarding the cast
+    // Copy into the integer view the way setF does, guarding the cast
     // against non-finite corrupted values.
     Out.I = std::isfinite(F) && std::abs(F) < 9.0e18f
                 ? static_cast<long long>(F)

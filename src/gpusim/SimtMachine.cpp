@@ -116,46 +116,10 @@ constexpr unsigned WarpLanes = 32;
 // Integer wrap / saturated float->int conversion live in ir/Bytecode.h
 // (wrapToType / saturatingIntOf) so the native CPU backend shares the
 // exact semantics; the local names keep this file's call sites readable.
+// Cell writes (setI / setF) and the atomic fold (foldCell) live beside
+// Cell in gpusim/Device.h for the same reason.
 long long wrapInt(ScalarType Ty, long long V) { return wrapToType(Ty, V); }
 long long mirrorIntOf(double V) { return saturatingIntOf(V); }
-
-/// Writes an integer result, mirroring into the float view (guards
-/// against int constants flowing into float arithmetic).
-void setI(Cell &C, long long V) {
-  C.I = V;
-  C.F = static_cast<double>(V);
-}
-void setF(Cell &C, double V, ScalarType Ty = ScalarType::F32) {
-  if (Ty != ScalarType::F64) {
-    // Round to float32 so accumulation error matches 32-bit GPU math.
-    float F32 = static_cast<float>(V);
-    C.F = F32;
-    C.I = mirrorIntOf(F32);
-  } else {
-    C.F = V;
-    C.I = mirrorIntOf(V);
-  }
-}
-
-/// Applies a reduce op to a memory cell. Pair ops fold (value, index) with
-/// the smaller-index tie-break; the element type picks the authoritative
-/// value lane.
-void atomicApply(ReduceOp Op, ScalarType Ty, Cell &Target, const Cell &V) {
-  if (isArgReduce(Op)) {
-    if (isFloatType(Ty)) {
-      applyReduceOpPair(Op, Target.F, Target.Idx, V.F, V.Idx);
-      Target.I = mirrorIntOf(Target.F);
-    } else {
-      applyReduceOpPair(Op, Target.I, Target.Idx, V.I, V.Idx);
-      Target.F = static_cast<double>(Target.I);
-    }
-    return;
-  }
-  if (isFloatType(Ty))
-    setF(Target, applyReduceOp<double>(Op, Target.F, V.F), Ty);
-  else
-    setI(Target, wrapInt(Ty, applyReduceOp<long long>(Op, Target.I, V.I)));
-}
 
 /// One deferred global-memory write recorded while a block executes in
 /// parallel mode. Entries keep program order within the block; replaying
@@ -608,19 +572,19 @@ private:
                                      WarpId, L, W.PC, /*IsWrite=*/false,
                                      /*IsAtomic=*/false);
             if (Width == 1) {
-              D = B->read(static_cast<size_t>(Base));
+              D = B->load(static_cast<size_t>(Base));
             } else {
               // Vectorized load: the IR defines it as yielding the sum of
               // the W consecutive elements (see LoadGlobalExpr).
               if (isFloatType(In.Ty)) {
                 double Sum = 0;
                 for (unsigned J = 0; J != Width; ++J)
-                  Sum += B->read(static_cast<size_t>(Base + J)).F;
+                  Sum += B->load(static_cast<size_t>(Base + J)).F;
                 setF(D, Sum, In.Ty);
               } else {
                 long long Sum = 0;
                 for (unsigned J = 0; J != Width; ++J)
-                  Sum += B->read(static_cast<size_t>(Base + J)).I;
+                  Sum += B->load(static_cast<size_t>(Base + J)).I;
                 setI(D, wrapInt(In.Ty, Sum));
               }
             }
@@ -663,7 +627,7 @@ private:
             continue;
           if (Idx < 0 || static_cast<uint64_t>(Idx) >= B->size()) {
             error(strformat("global store out of bounds (index %lld)", Idx));
-          } else if (Cell *C = B->writable(static_cast<size_t>(Idx))) {
+          } else if (!B->isVirtual()) {
             if (Race)
               Race->onGlobalAccess(Args[In.MemId].Id, In.MemId, Idx, WarpId,
                                    L, W.PC, /*IsWrite=*/true,
@@ -677,7 +641,7 @@ private:
               Log->push_back({Args[In.MemId].Id, static_cast<size_t>(Idx),
                               false, ReduceOp::Add, In.Ty, V});
             else
-              *C = V;
+              B->store(static_cast<size_t>(Idx), V);
           } else {
             error("store to a read-only (virtual) buffer");
           }
@@ -777,12 +741,12 @@ private:
             Drop = false; // Lost read-modify-write: skip this lane's update.
             continue;
           }
-          atomicApply(Op, In.Ty, Mem[static_cast<size_t>(Idx)],
-                      reg(W, In.Src2, L));
+          foldCell(Op, In.Ty, Mem[static_cast<size_t>(Idx)],
+                   reg(W, In.Src2, L));
           if (Dup) {
             Dup = false; // Replayed read-modify-write: apply a second time.
-            atomicApply(Op, In.Ty, Mem[static_cast<size_t>(Idx)],
-                        reg(W, In.Src2, L));
+            foldCell(Op, In.Ty, Mem[static_cast<size_t>(Idx)],
+                     reg(W, In.Src2, L));
           }
         }
         Stats.SharedAtomicOps += Lanes;
@@ -831,7 +795,7 @@ private:
           if (Race)
             Race->onGlobalAccess(Args[In.MemId].Id, In.MemId, Idx, WarpId, L,
                                  W.PC, /*IsWrite=*/true, /*IsAtomic=*/true);
-          if (Cell *C = B->writable(static_cast<size_t>(Idx))) {
+          if (!B->isVirtual()) {
             unsigned Applies = 1;
             if (Drop) {
               Drop = false;
@@ -841,11 +805,14 @@ private:
               Applies = 2; // Replayed read-modify-write.
             }
             for (unsigned A = 0; A != Applies; ++A) {
-              if (Log)
+              if (Log) {
                 Log->push_back({Args[In.MemId].Id, static_cast<size_t>(Idx),
                                 true, Op, In.Ty, reg(W, In.Src2, L)});
-              else
-                atomicApply(Op, In.Ty, *C, reg(W, In.Src2, L));
+              } else {
+                Cell C = B->load(static_cast<size_t>(Idx));
+                foldCell(Op, In.Ty, C, reg(W, In.Src2, L));
+                B->store(static_cast<size_t>(Idx), C);
+              }
             }
           } else {
             error("atomic on a read-only (virtual) buffer");
@@ -1201,12 +1168,14 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
     for (BlockOutcome &O : Outcomes) {
       Result.DeadlineExceeded |= O.DeadlineExceeded;
       for (const GlobalEffect &E : O.Effects) {
-        Cell *C = Dev.get(E.Buf).writable(E.Idx);
-        assert(C && "logged effect targets a read-only buffer");
-        if (E.Atomic)
-          atomicApply(E.Op, E.Ty, *C, E.Value);
-        else
-          *C = E.Value;
+        Buffer &B = Dev.get(E.Buf);
+        if (E.Atomic) {
+          Cell C = B.load(E.Idx);
+          foldCell(E.Op, E.Ty, C, E.Value);
+          B.store(E.Idx, C);
+        } else {
+          B.store(E.Idx, E.Value);
+        }
       }
       for (std::string &Msg : O.Errors)
         if (Result.Errors.size() < 8)
@@ -1232,16 +1201,6 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
     double Factor =
         static_cast<double>(Config.GridDim) / Result.BlocksSimulated;
     Result.Stats.scale(Factor);
-  }
-
-  // Stamp every buffer the kernel stores or atomically updates so mirror
-  // caches keyed on Buffer::getStamp() (native backend) observe the write.
-  for (const Instr &In : Kernel.Code) {
-    if (In.Op != Opcode::StGlobal && In.Op != Opcode::AtomGlobal)
-      continue;
-    const ArgValue &V = Args[In.MemId];
-    if (V.IsBuffer && !Dev.get(V.Id).isVirtual())
-      Dev.noteWrite(V.Id);
   }
 
   Result.RegistersPerThread = Kernel.Source->getRegisterEstimate();

@@ -66,18 +66,6 @@ const char *tangram::native::getHostSimdIsa() {
 #endif
 }
 
-const char *tangram::native::getPlaneName(Plane P) {
-  switch (P) {
-  case Plane::Int:
-    return "int";
-  case Plane::F32:
-    return "f32";
-  case Plane::F64:
-    return "f64";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Lattice values for the per-point register state.

@@ -39,6 +39,7 @@
 #ifndef TANGRAM_NATIVE_NATIVEKERNEL_H
 #define TANGRAM_NATIVE_NATIVEKERNEL_H
 
+#include "gpusim/Device.h"
 #include "ir/Bytecode.h"
 #include "support/Expected.h"
 
@@ -46,22 +47,11 @@
 
 namespace tangram::native {
 
-/// A typed storage plane (one lane array per register per warp).
-enum class Plane : unsigned char { Int, F32, F64 };
-
-const char *getPlaneName(Plane P);
-
-/// The plane that stores values of \p Ty.
-inline Plane planeOf(ir::ScalarType Ty) {
-  switch (Ty) {
-  case ir::ScalarType::F32:
-    return Plane::F32;
-  case ir::ScalarType::F64:
-    return Plane::F64;
-  default:
-    return Plane::Int;
-  }
-}
+/// A register's typed storage plane: the same classification that picks a
+/// device buffer's plane (one lane array per register per warp).
+using sim::Plane;
+using sim::getPlaneName;
+using sim::planeOf;
 
 /// Which plane holds an instruction operand's live value at that program
 /// point (the dataflow's verdict). `All` means every plane agrees — the
@@ -79,7 +69,7 @@ struct NativeKernel {
   /// Mov/Shfl/MkPair (the plane of the copied value, i.e. of Src1) and
   /// StGlobal/StShared/AtomGlobal/AtomShared (the plane Src2's live value
   /// is stored on; the machine converts to the destination's element plane
-  /// with the interpreter's cell-mirror rules). `All` elsewhere.
+  /// with the interpreter's setI/setF rules). `All` elsewhere.
   std::vector<ValuePlane> OperandPlane;
   /// Kernel manipulates (value, index) pairs: MkPair, arg-reductions, or
   /// arg-atomics appear. The machine then threads an Idx plane through

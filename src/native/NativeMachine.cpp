@@ -47,7 +47,7 @@ double nowSeconds() {
       .count();
 }
 
-/// Typed, non-owning window into one pointer argument's mirror storage.
+/// Typed, non-owning window into one pointer argument's device planes.
 struct View {
   bool IsBuffer = false;
   BufferId Id = 0;
@@ -73,8 +73,8 @@ struct Effect {
   long long Idx = 0;
 };
 
-/// Applies one store/atomic to the mirror behind \p V, with the exact
-/// combine semantics of the interpreter's atomicApply.
+/// Applies one store/atomic to the planes behind \p V, with the exact
+/// combine semantics of sim::foldCell.
 void applyEffect(std::vector<View> &Views, const Effect &E) {
   View &V = Views[E.Mem];
   size_t I = E.Index;
@@ -783,12 +783,12 @@ private:
           break;
         }
         }
-        if (NK.PairMode && V.Idx) {
+        if (NK.PairMode) {
           long long *X = xp(W, In.Dst);
-          const long long *S = V.Idx + B0;
-          TGR_VEC_LOOP
-          for (unsigned L = 0; L != WarpLanes; ++L)
-            X[L] = S[L];
+          if (V.Idx)
+            std::copy_n(V.Idx + B0, WarpLanes, X);
+          else
+            std::fill_n(X, WarpLanes, 0);
         }
         return;
       }
@@ -810,8 +810,8 @@ private:
         }
         if (Width == 1) {
           D[L] = V.F32[Base];
-          if (NK.PairMode && V.Idx)
-            xp(W, In.Dst)[L] = V.Idx[Base];
+          if (NK.PairMode)
+            xp(W, In.Dst)[L] = V.Idx ? V.Idx[Base] : 0;
         } else {
           // Vectorized load: sum of W consecutive elements, accumulated
           // in double exactly like the interpreter, rounded once.
@@ -836,8 +836,8 @@ private:
         }
         if (Width == 1) {
           D[L] = V.F64[Base];
-          if (NK.PairMode && V.Idx)
-            xp(W, In.Dst)[L] = V.Idx[Base];
+          if (NK.PairMode)
+            xp(W, In.Dst)[L] = V.Idx ? V.Idx[Base] : 0;
         } else {
           double Sum = 0;
           for (unsigned J = 0; J != Width; ++J)
@@ -861,8 +861,8 @@ private:
         }
         if (Width == 1) {
           D[L] = V.I[Base];
-          if (NK.PairMode && V.Idx)
-            xp(W, In.Dst)[L] = V.Idx[Base];
+          if (NK.PairMode)
+            xp(W, In.Dst)[L] = V.Idx ? V.Idx[Base] : 0;
         } else {
           long long Sum = 0;
           for (unsigned J = 0; J != Width; ++J)
@@ -876,7 +876,7 @@ private:
   }
 
   /// Reads one lane's store value off its live plane into Effect-shaped
-  /// (F, I, Idx) views, with the interpreter's cell-mirror conversions.
+  /// (F, I, Idx) views, with the interpreter's setI/setF conversions.
   /// A plane-uniform source (`All`) reads each view off its own plane.
   void readStoreValue(NWarp &W, uint16_t Reg, unsigned L, ValuePlane VP,
                       double &F, long long &I, long long &Idx) {
@@ -1386,97 +1386,6 @@ private:
 
 } // namespace
 
-NativeMachine::Mirror &NativeMachine::ensureMirror(BufferId Id, bool NeedIdx,
-                                                   double &BuildSeconds) {
-  Mirror &M = Mirrors[Id];
-  const Buffer &B = Dev.get(Id);
-  bool Fresh = M.Stamp == B.getStamp() && M.Size == B.size();
-  if (Fresh && (!NeedIdx || M.HasIdx))
-    return M;
-  double T0 = nowSeconds();
-  if (!Fresh) {
-    M.Stamp = B.getStamp();
-    M.P = planeOf(B.getElemType());
-    M.Size = B.size();
-    M.Dirty = false;
-    M.F32.clear();
-    M.F64.clear();
-    M.I.clear();
-    M.Idx.clear();
-    M.HasIdx = false;
-    switch (M.P) {
-    case Plane::F32:
-      M.F32.resize(M.Size);
-      break;
-    case Plane::F64:
-      M.F64.resize(M.Size);
-      break;
-    case Plane::Int:
-      M.I.resize(M.Size);
-      break;
-    }
-    for (size_t I = 0; I != M.Size; ++I) {
-      Cell C = B.read(I);
-      switch (M.P) {
-      case Plane::F32:
-        M.F32[I] = static_cast<float>(C.F);
-        break;
-      case Plane::F64:
-        M.F64[I] = C.F;
-        break;
-      case Plane::Int:
-        M.I[I] = C.I;
-        break;
-      }
-    }
-  }
-  if (NeedIdx && !M.HasIdx) {
-    M.Idx.resize(M.Size);
-    for (size_t I = 0; I != M.Size; ++I)
-      M.Idx[I] = B.read(I).Idx;
-    M.HasIdx = true;
-  }
-  BuildSeconds += nowSeconds() - T0;
-  return M;
-}
-
-void NativeMachine::writeBack(BufferId Id, Mirror &M) {
-  Buffer &B = Dev.get(Id);
-  for (size_t I = 0; I != M.Size; ++I) {
-    Cell *C = B.writable(I);
-    if (!C)
-      continue;
-    switch (M.P) {
-    case Plane::F32:
-      C->F = static_cast<double>(M.F32[I]);
-      C->I = saturatingIntOf(M.F32[I]);
-      break;
-    case Plane::F64:
-      C->F = M.F64[I];
-      C->I = saturatingIntOf(M.F64[I]);
-      break;
-    case Plane::Int:
-      C->I = M.I[I];
-      C->F = static_cast<double>(M.I[I]);
-      break;
-    }
-    if (M.HasIdx)
-      C->Idx = M.Idx[I];
-  }
-  Dev.noteWrite(Id);
-  M.Stamp = B.getStamp();
-  M.Dirty = false;
-}
-
-void NativeMachine::pruneStale() {
-  for (auto It = Mirrors.begin(); It != Mirrors.end();) {
-    bool Dead = It->first >= Dev.mark() ||
-                Dev.get(It->first).getStamp() != It->second.Stamp ||
-                Dev.get(It->first).size() != It->second.Size;
-    It = Dead ? Mirrors.erase(It) : std::next(It);
-  }
-}
-
 NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
                                          const LaunchConfig &Config,
                                          const std::vector<ArgValue> &Args) {
@@ -1500,7 +1409,7 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     return R;
   }
   // Every global access must agree with the bound buffer's element plane:
-  // typed mirrors cannot reinterpret the way untyped Cells can.
+  // typed planes cannot reinterpret the way Cell registers can.
   for (const Instr &In : K.Code) {
     if (In.Op != Opcode::LdGlobal && In.Op != Opcode::StGlobal &&
         In.Op != Opcode::AtomGlobal)
@@ -1532,38 +1441,36 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
              64ull * MaxScalar;
   }
 
-  pruneStale();
-
-  // Typed mirrors for every buffer argument, then views over them.
-  for (const ArgValue &A : Args)
-    if (A.IsBuffer)
-      ensureMirror(A.Id, NK.PairMode, R.MirrorSeconds);
+  // Views bind straight to the device planes. A virtual input is
+  // materialized into its own plane on first use; a pair kernel's written
+  // buffers get an index plane so results carry their payload.
   std::vector<View> Views(Args.size());
   for (size_t I = 0; I != Args.size(); ++I) {
     const ArgValue &A = Args[I];
     if (!A.IsBuffer)
       continue;
-    Mirror &M = Mirrors[A.Id];
+    Buffer &B = Dev.get(A.Id);
+    B.materialize();
     View &V = Views[I];
     V.IsBuffer = true;
     V.Id = A.Id;
-    V.P = M.P;
-    V.Writable = !Dev.get(A.Id).isVirtual();
-    V.Size = M.Size;
-    V.F32 = M.F32.data();
-    V.F64 = M.F64.data();
-    V.I = M.I.data();
-    V.Idx = M.HasIdx ? M.Idx.data() : nullptr;
+    V.P = B.getPlane();
+    V.Writable = !B.isVirtual();
+    V.Size = B.size();
   }
-
-  // Mark mirrors the kernel writes dirty up front; they are written back
-  // to device cells after execution.
-  for (const Instr &In : K.Code) {
-    if (In.Op != Opcode::StGlobal && In.Op != Opcode::AtomGlobal)
+  for (const Instr &In : K.Code)
+    if (NK.PairMode &&
+        (In.Op == Opcode::StGlobal || In.Op == Opcode::AtomGlobal) &&
+        Views[In.MemId].Writable)
+      Dev.get(Views[In.MemId].Id).ensureIdx();
+  for (View &V : Views) {
+    if (!V.IsBuffer)
       continue;
-    const ArgValue &V = Args[In.MemId];
-    if (V.IsBuffer && !Dev.get(V.Id).isVirtual())
-      Mirrors[V.Id].Dirty = true;
+    Buffer &B = Dev.get(V.Id);
+    V.F32 = B.getF32();
+    V.F64 = B.getF64();
+    V.I = B.getInts();
+    V.Idx = B.getIdx();
   }
 
   double T0 = nowSeconds();
@@ -1583,7 +1490,7 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     R.WarpInstructions += Exec.WarpInstructions;
     R.LaneInstructions += Exec.LaneInstructions;
   } else {
-    // Parallel blocks against the pristine mirrors: each defers its global
+    // Parallel blocks against the pristine planes: each defers its global
     // writes into a program-ordered log; replay in block-index order keeps
     // results bit-identical across thread counts.
     struct BlockOutcome {
@@ -1616,14 +1523,6 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     }
   }
 
-  // Publish results: written mirrors go back to device cells so callers
-  // (and the simulator oracle) read them through the normal Device API.
-  for (const ArgValue &A : Args)
-    if (A.IsBuffer) {
-      auto It = Mirrors.find(A.Id);
-      if (It != Mirrors.end() && It->second.Dirty)
-        writeBack(A.Id, It->second);
-    }
   R.ExecSeconds = nowSeconds() - T0;
   return R;
 }

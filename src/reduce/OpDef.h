@@ -21,6 +21,7 @@
 #define TANGRAM_REDUCE_OPDEF_H
 
 #include "gpusim/Arch.h"
+#include "gpusim/Device.h"
 #include "ir/KernelIR.h"
 #include "support/ReduceOp.h"
 
@@ -61,13 +62,10 @@ AtomicSupport atomicLegality(ReduceOp Op, ir::ScalarType Elem,
 // Operator descriptors
 //===----------------------------------------------------------------------===//
 
-/// Identity accumulator value carried in both numeric domains (so callers
-/// can initialize an untyped device cell) plus the index lane.
-struct IdentityCell {
-  double F = 0;
-  long long I = 0;
-  long long Idx = 0;
-};
+/// Identity accumulator value carried in both numeric domains plus the
+/// index lane: a register value, ready for sim::Buffer::store and
+/// sim::foldCell.
+using IdentityCell = sim::Cell;
 
 /// One row of the operator table.
 struct OpDef {

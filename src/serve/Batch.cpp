@@ -9,7 +9,6 @@
 #include "engine/ExecutionEngine.h"
 #include "gpusim/PerfModel.h"
 #include "ir/Bytecode.h"
-#include "support/ReduceOp.h"
 
 #include <cassert>
 
@@ -23,57 +22,17 @@ using support::StatusCode;
 void serve::writeJob(sim::Device &Dev, sim::BufferId Buf, size_t Offset,
                      const JobSpec &Spec) {
   sim::Buffer &B = Dev.get(Buf);
+  sim::Cell C;
   if (ir::isFloatType(Spec.Elem)) {
     for (size_t I = 0; I != Spec.FloatData.size(); ++I) {
-      sim::Cell *C = B.writable(Offset + I);
-      // Upload semantics: F32 data is rounded to float on write, exactly
-      // like Device::writeFloats fed from a float vector.
-      C->F = Spec.Elem == ir::ScalarType::F64
-                 ? Spec.FloatData[I]
-                 : static_cast<double>(static_cast<float>(Spec.FloatData[I]));
-      C->I = ir::saturatingIntOf(C->F);
-      C->Idx = 0;
+      sim::setF(C, Spec.FloatData[I], Spec.Elem);
+      B.store(Offset + I, C);
     }
   } else {
     for (size_t I = 0; I != Spec.IntData.size(); ++I) {
-      sim::Cell *C = B.writable(Offset + I);
-      C->I = ir::wrapToType(Spec.Elem, Spec.IntData[I]);
-      C->F = static_cast<double>(C->I);
-      C->Idx = 0;
+      sim::setI(C, ir::wrapToType(Spec.Elem, Spec.IntData[I]));
+      B.store(Offset + I, C);
     }
-  }
-  Dev.noteWrite(Buf);
-}
-
-void serve::foldCell(ReduceOp Op, ir::ScalarType Ty, sim::Cell &Acc,
-                     const sim::Cell &V) {
-  // Mirrors the SIMT machine's atomicApply: the element type picks the
-  // authoritative value lane, pair ops fold (value, index) with the
-  // smaller-index tie-break, and the other numeric lane mirrors the
-  // result so downstream readers of either lane agree.
-  if (isArgReduce(Op)) {
-    if (ir::isFloatType(Ty)) {
-      applyReduceOpPair(Op, Acc.F, Acc.Idx, V.F, V.Idx);
-      Acc.I = ir::saturatingIntOf(Acc.F);
-    } else {
-      applyReduceOpPair(Op, Acc.I, Acc.Idx, V.I, V.Idx);
-      Acc.F = static_cast<double>(Acc.I);
-    }
-    return;
-  }
-  if (ir::isFloatType(Ty)) {
-    double R = applyReduceOp<double>(Op, Acc.F, V.F);
-    if (Ty != ir::ScalarType::F64) {
-      float F32 = static_cast<float>(R);
-      Acc.F = F32;
-      Acc.I = ir::saturatingIntOf(F32);
-    } else {
-      Acc.F = R;
-      Acc.I = ir::saturatingIntOf(R);
-    }
-  } else {
-    Acc.I = ir::wrapToType(Ty, applyReduceOp<long long>(Op, Acc.I, V.I));
-    Acc.F = static_cast<double>(Acc.I);
   }
 }
 
@@ -108,43 +67,29 @@ serve::runBatch(engine::ExecutionEngine &E,
                     "batched job exceeds one block tile");
 
   sim::Device &Dev = E.getDevice();
-  struct Scope {
-    sim::Device &D;
-    size_t M;
-    ~Scope() { D.release(M); }
-  } Scratch{Dev, Dev.mark()};
+  sim::DeviceScope Scratch(Dev);
 
   // The arena: job j owns cells [j*Tile, (j+1)*Tile), padded with the
-  // kernel identity — the constant guarded loads substitute when the same
-  // job runs alone, so every schedule position folds identical operands.
+  // kernel identity's value — the constant guarded loads substitute when
+  // the same job runs alone, so every schedule position folds identical
+  // operands. Inputs carry no index payload (kernels pair values with
+  // their positions), so the padding leaves the index lane 0.
   const reduce::IdentityCell KId = reduce::getKernelIdentity(Op, Elem);
   sim::BufferId Arena = Dev.alloc(Elem, K * Tile);
-  {
-    sim::Buffer &AB = Dev.get(Arena);
-    for (size_t J = 0; J != K; ++J) {
-      const size_t Base = J * Tile;
-      writeJob(Dev, Arena, Base, *Jobs[J]);
-      for (size_t I = Jobs[J]->size(); I != Tile; ++I) {
-        sim::Cell *C = AB.writable(Base + I);
-        C->F = KId.F;
-        C->I = KId.I;
-        C->Idx = KId.Idx;
-      }
-    }
-    Dev.noteWrite(Arena);
+  sim::Cell Pad = KId;
+  Pad.Idx = 0;
+  for (size_t J = 0; J != K; ++J) {
+    const size_t Base = J * Tile;
+    writeJob(Dev, Arena, Base, *Jobs[J]);
+    for (size_t I = Jobs[J]->size(); I != Tile; ++I)
+      Dev.get(Arena).store(Base + I, Pad);
   }
 
+  // Identity-seed cell 0 like the engine does for its partials buffer;
+  // the kernel overwrites every cell it owns.
   const reduce::IdentityCell Id = reduce::getIdentity(Op, Elem);
   sim::BufferId Partials = Dev.alloc(Elem, K);
-  {
-    // Identity-seed cell 0 like the engine does for its partials buffer;
-    // the kernel overwrites every cell it owns.
-    sim::Cell *C = Dev.get(Partials).writable(0);
-    C->F = Id.F;
-    C->I = Id.I;
-    C->Idx = Id.Idx;
-    Dev.noteWrite(Partials);
-  }
+  Dev.get(Partials).store(0, Id);
 
   // One stage-1 launch over the whole arena: N = K*Tile with ObjectSize =
   // Tile makes the grid exactly K blocks, one per job.
@@ -186,35 +131,30 @@ serve::runBatch(engine::ExecutionEngine &E,
 
   // Host epilogue: partial j IS job j's block result; replay the lone
   // run's second stage (a fold of one partial against identity padding)
-  // and final accumulator fold with the machine's own cell semantics.
+  // and final accumulator fold with the machine's own sim::foldCell.
   std::vector<JobResult> Results(K);
   for (size_t J = 0; J != K; ++J) {
-    sim::Cell P;
-    P.F = Dev.readFloat(Partials, J);
-    P.I = Dev.readInt(Partials, J);
-    P.Idx = Dev.readIndex(Partials, J);
+    sim::Cell P = Dev.get(Partials).load(J);
     if (isArgReduce(Op)) {
       // Arena indexes are job-local ones shifted by the tile base, and a
-      // block only ever reads its own tile — padding lanes included, whose
-      // guard-identity pairs carry their (shifted) lane index exactly like
-      // the lone run's out-of-range lanes carry theirs. Unshifting the
-      // whole tile therefore reproduces the lone run bit-for-bit even when
-      // a padding lane wins (e.g. the empty job).
+      // block only ever reads its own tile. A padding lane wins only where
+      // the lone run's out-of-range guard lanes win (e.g. the empty job),
+      // and those carry the identity's sentinel index, not a position.
       const long long Base = static_cast<long long>(J * Tile);
-      if (P.Idx >= Base && P.Idx < Base + static_cast<long long>(Tile))
+      const long long End = Base + static_cast<long long>(Jobs[J]->size());
+      if (P.Idx >= Base && P.Idx < End)
         P.Idx -= Base;
+      else if (P.Idx >= End && P.Idx < Base + static_cast<long long>(Tile))
+        P.Idx = KId.Idx;
     }
 
-    sim::Cell Acc;
-    Acc.F = KId.F;
-    Acc.I = KId.I;
-    Acc.Idx = KId.Idx;
-    foldCell(Op, Elem, Acc, P);
-    sim::Cell Fin;
-    Fin.F = Id.F;
-    Fin.I = Id.I;
-    Fin.Idx = Id.Idx;
-    foldCell(Op, Elem, Fin, Acc);
+    // The guard constant as a kernel register holds it (F32 rounded).
+    sim::Cell Acc = KId;
+    if (ir::isFloatType(Elem))
+      sim::setF(Acc, KId.F, Elem);
+    sim::foldCell(Op, Elem, Acc, P);
+    sim::Cell Fin = Id;
+    sim::foldCell(Op, Elem, Fin, Acc);
 
     JobResult &R = Results[J];
     R.FloatValue = Fin.F;

@@ -20,11 +20,11 @@
 ///    job-local ones); the smaller-index tie-break preserves the winning
 ///    element under a uniform shift, and the epilogue shifts it back. A
 ///    winner inside the padding corresponds exactly to the lone-run case
-///    where the guard constant wins, and is mapped to its index lane.
+///    where the guard constant wins, and is mapped to its sentinel index.
 ///  - The per-job second stage reduces a single partial against identity
 ///    padding — an identity fold — which the epilogue replays with the
-///    simulator's own atomicApply semantics (value computed in double,
-///    F32 results rounded per step, integer lane mirrored).
+///    simulator's own sim::foldCell (value computed in double, F32 results
+///    rounded per step, integer lane mirrored).
 ///
 /// Sub is excluded by the shard (its second stage subtracts partials, so
 /// coalescing would change the sign structure).
@@ -49,12 +49,6 @@ namespace tangram::serve {
 /// lane matching the element type is authoritative).
 void writeJob(sim::Device &Dev, sim::BufferId Buf, size_t Offset,
               const JobSpec &Spec);
-
-/// Host replica of the simulator's atomicApply: folds \p V into \p Acc
-/// under (op, element type) with identical rounding, wrapping, index
-/// tie-break, and cross-lane mirroring semantics.
-void foldCell(ReduceOp Op, ir::ScalarType Ty, sim::Cell &Acc,
-              const sim::Cell &V);
 
 /// Runs \p Jobs (all of one (op, dtype) lane, each with size() <= the
 /// descriptor's block tile) as ONE segmented stage-1 launch of \p Desc on

@@ -425,11 +425,7 @@ void Shard::processGroup(Lane &L, std::vector<PendingJob *> &Jobs) {
 
 Expected<JobResult> Shard::runDirect(Lane &L, const JobSpec &Spec) {
   sim::Device &Dev = L.E->getDevice();
-  struct Scope {
-    sim::Device &D;
-    size_t M;
-    ~Scope() { D.release(M); }
-  } Scratch{Dev, Dev.mark()};
+  sim::DeviceScope Scratch(Dev);
 
   sim::BufferId In =
       Dev.alloc(Spec.Elem, std::max<size_t>(1, Spec.size()));

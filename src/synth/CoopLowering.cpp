@@ -250,7 +250,14 @@ Expr *CoopLowering::lowerExpr(const lang::Expr *E) {
     const auto *Cond = cast<ConditionalExpr>(E);
     Expr *C0 = lowerExpr(Cond->getCond());
     Expr *T = lowerExpr(Cond->getTrueExpr());
+    // A guarded element read (`cond ? in[i] : 0`, `cond ? partial[l] : 0`)
+    // feeds the accumulator: its literal-zero fallback stands for the
+    // operator's identity, exactly like a `val += ...` operand.
+    bool WasInReduction = InReductionRHS;
+    if (isa<IndexExpr>(Cond->getTrueExpr()->ignoreParens()))
+      InReductionRHS = true;
     Expr *F = lowerExpr(Cond->getFalseExpr());
+    InReductionRHS = WasInReduction;
     if (!C0 || !T || !F)
       return nullptr;
     return M.create<SelectExpr>(C0, T, F,

@@ -42,14 +42,13 @@ FigureRow FigureHarness::measure(const sim::ArchDesc &Arch, size_t N) {
 
   // Baselines on a scoped shared virtual input in the arch's engine.
   engine::ExecutionEngine &E = TR.engineFor(Arch);
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::VirtualPattern Pattern;
   sim::BufferId In =
       E.getDevice().allocVirtual(ir::ScalarType::F32, N, Pattern);
   Row.CubSeconds = Cub.run(E, In, N, sim::ExecMode::Sampled).Seconds;
   Row.KokkosSeconds = Kokkos.run(E, In, N, sim::ExecMode::Sampled).Seconds;
   Row.OmpSeconds = Omp.run(E, In, N, sim::ExecMode::Sampled).Seconds;
-  E.deviceRelease(Mark);
   return Row;
 }
 

@@ -64,7 +64,7 @@ TEST(Device, VirtualBufferReadsPattern) {
   BufferId Id = Dev.allocVirtual(ScalarType::F32, 1000, P);
   EXPECT_TRUE(Dev.get(Id).isVirtual());
   EXPECT_FLOAT_EQ(Dev.readFloat(Id, 7), 2.0f); // 7 % 5 = 2.
-  EXPECT_EQ(Dev.get(Id).writable(0), nullptr); // Read-only.
+  EXPECT_EQ(Dev.get(Id).getF32(), nullptr); // No storage until materialized.
 }
 
 TEST(Device, KernelWriteToVirtualBufferIsAnError) {

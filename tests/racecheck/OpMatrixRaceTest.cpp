@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 using namespace tangram;
 using namespace tangram::synth;
@@ -79,19 +80,26 @@ class OpMatrix : public ::testing::TestWithParam<MatrixPoint> {};
 
 /// Deterministic input with a unique extremum (so arg-reduction indices
 /// are unambiguous) and values small enough for exact float sums.
+/// Float buffers get IV * 0.25, integer buffers IV, each written in the
+/// buffer's own type.
 void fillInput(sim::Device &Dev, sim::BufferId In, size_t N,
                reduce::HostAccumulator &Ref) {
+  std::vector<float> F(N);
+  std::vector<int> I32(N);
   for (size_t I = 0; I != N; ++I) {
-    long long IV = static_cast<long long>((I * 37) % 4099) - 2000;
+    int IV = static_cast<int>((I * 37) % 4099) - 2000;
     if (I == N / 3) // One unique global extremum in both directions.
       IV = 5000;
     if (I == 2 * N / 3)
       IV = -5000;
-    sim::Cell *C = Dev.get(In).writable(I);
-    C->I = IV;
-    C->F = static_cast<double>(IV) * 0.25;
-    Ref.accumulate(C->F, C->I, static_cast<long long>(I));
+    F[I] = static_cast<float>(IV) * 0.25f;
+    I32[I] = IV;
+    Ref.accumulate(F[I], IV, static_cast<long long>(I));
   }
+  if (ir::isFloatType(Dev.get(In).getElemType()))
+    Dev.writeFloats(In, F);
+  else
+    Dev.writeInts(In, I32);
 }
 
 TEST_P(OpMatrix, RepresentativeVariantsAreRaceFreeAndHostExact) {

@@ -149,11 +149,16 @@ engine::RaceReport seedAndCheck(const VariantDescriptor &Desc,
   engine::ExecutionEngine &E = TR.engineFor(Arch);
   size_t Mark = E.deviceMark();
   sim::BufferId In = E.getDevice().alloc(V.Elem, N);
+  std::vector<int> Ints(N);
+  std::vector<float> Floats(N);
   for (size_t I = 0; I != N; ++I) {
-    sim::Cell *C = E.getDevice().get(In).writable(I);
-    C->I = static_cast<long long>(I % 17);
-    C->F = static_cast<double>(I % 17);
+    Ints[I] = static_cast<int>(I % 17);
+    Floats[I] = static_cast<float>(Ints[I]);
   }
+  if (ir::isFloatType(V.Elem))
+    E.getDevice().writeFloats(In, Floats);
+  else
+    E.getDevice().writeInts(In, Ints);
   engine::ReduceRequest Req;
   Req.In = In;
   Req.N = N;
