@@ -1,4 +1,4 @@
-//===- Device.cpp - Simulated device memory --------------------------------===//
+//===- Device.cpp - Simulated device memory -------------------------------===//
 //
 // Part of the tangram-reduction project. See README.md for license details.
 //
@@ -7,7 +7,6 @@
 #include "gpusim/Device.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace tangram;
 using namespace tangram::sim;
@@ -43,8 +42,7 @@ const char *tangram::sim::getPlaneName(Plane P) {
   return "?";
 }
 
-Buffer::Buffer(ir::ScalarType Elem, size_t Count)
-    : Elem(Elem), P(planeOf(Elem)), Count(Count) {
+void Buffer::allocPlane() {
   switch (P) {
   case Plane::F32:
     F32.resize(Count);
@@ -61,23 +59,9 @@ Buffer::Buffer(ir::ScalarType Elem, size_t Count)
 void Buffer::materialize() {
   if (!Virtual || !F32.empty() || !F64.empty() || !Ints.empty())
     return;
-  switch (P) {
-  case Plane::F32:
-    F32.resize(Count);
-    for (size_t I = 0; I != Count; ++I)
-      F32[I] = static_cast<float>(Pattern.at(I).F);
-    break;
-  case Plane::F64:
-    F64.resize(Count);
-    for (size_t I = 0; I != Count; ++I)
-      F64[I] = Pattern.at(I).F;
-    break;
-  case Plane::Int:
-    Ints.resize(Count);
-    for (size_t I = 0; I != Count; ++I)
-      Ints[I] = Pattern.at(I).I;
-    break;
-  }
+  allocPlane();
+  for (size_t I = 0; I != Count; ++I)
+    storeValue(I, Pattern.at(I));
 }
 
 void Device::writeFloats(BufferId Id, const std::vector<float> &Data) {
@@ -85,18 +69,14 @@ void Device::writeFloats(BufferId Id, const std::vector<float> &Data) {
   assert(Data.size() <= B.size() && "upload larger than buffer");
   if (B.Virtual)
     return;
-  switch (B.P) {
-  case Plane::F32:
-    if (!Data.empty())
-      std::memcpy(B.F32.data(), Data.data(), Data.size() * sizeof(float));
-    break;
-  case Plane::F64:
-    std::copy(Data.begin(), Data.end(), B.F64.begin());
-    break;
-  case Plane::Int:
-    for (size_t I = 0; I != Data.size(); ++I)
-      B.Ints[I] = ir::saturatingIntOf(Data[I]);
-    break;
+  if (B.P == Plane::F32) {
+    std::copy(Data.begin(), Data.end(), B.F32.begin());
+    return;
+  }
+  Cell C;
+  for (size_t I = 0; I != Data.size(); ++I) {
+    setF(C, Data[I]);
+    B.storeValue(I, C);
   }
 }
 
@@ -105,16 +85,13 @@ void Device::writeInts(BufferId Id, const std::vector<int> &Data) {
   assert(Data.size() <= B.size() && "upload larger than buffer");
   if (B.Virtual)
     return;
-  switch (B.P) {
-  case Plane::F32:
-    for (size_t I = 0; I != Data.size(); ++I)
-      B.F32[I] = static_cast<float>(Data[I]);
-    break;
-  case Plane::F64:
-    std::copy(Data.begin(), Data.end(), B.F64.begin());
-    break;
-  case Plane::Int:
+  if (B.P == Plane::Int) {
     std::copy(Data.begin(), Data.end(), B.Ints.begin());
-    break;
+    return;
+  }
+  Cell C;
+  for (size_t I = 0; I != Data.size(); ++I) {
+    setI(C, Data[I]);
+    B.storeValue(I, C);
   }
 }

@@ -121,7 +121,10 @@ struct VirtualPattern {
 class Buffer {
 public:
   /// A dense buffer, zero-filled.
-  Buffer(ir::ScalarType Elem, size_t Count);
+  Buffer(ir::ScalarType Elem, size_t Count)
+      : Elem(Elem), P(planeOf(Elem)), Count(Count) {
+    allocPlane();
+  }
   /// A virtual buffer: no storage until materialize().
   Buffer(ir::ScalarType Elem, size_t Count, const VirtualPattern &Pattern)
       : Elem(Elem), P(planeOf(Elem)), Count(Count), Virtual(true),
@@ -160,19 +163,9 @@ public:
   /// Virtual buffers are read-only: callers report the write as an error.
   void store(size_t I, const Cell &C) {
     assert(I < Count && !Virtual && "invalid device buffer store");
-    switch (P) {
-    case Plane::F32:
-      F32[I] = static_cast<float>(C.F);
-      break;
-    case Plane::F64:
-      F64[I] = C.F;
-      break;
-    case Plane::Int:
-      Ints[I] = C.I;
-      break;
-    }
-    if (Idx.empty() && C.Idx != 0)
-      Idx.assign(Count, 0);
+    storeValue(I, C);
+    if (C.Idx != 0)
+      ensureIdx();
     if (!Idx.empty())
       Idx[I] = C.Idx;
   }
@@ -198,6 +191,22 @@ public:
 
 private:
   friend class Device;
+
+  void allocPlane();
+  /// Writes the value lane of \p C matching the plane.
+  void storeValue(size_t I, const Cell &C) {
+    switch (P) {
+    case Plane::F32:
+      F32[I] = static_cast<float>(C.F);
+      break;
+    case Plane::F64:
+      F64[I] = C.F;
+      break;
+    case Plane::Int:
+      Ints[I] = C.I;
+      break;
+    }
+  }
 
   ir::ScalarType Elem;
   Plane P;
@@ -251,9 +260,6 @@ public:
   long long readIndex(BufferId Id, size_t Index) const {
     return get(Id).load(Index).Idx;
   }
-
-  /// Releases every buffer (between benchmark iterations).
-  void reset() { Buffers.clear(); }
 
   /// Allocation watermark for scoped/stack-style buffer lifetimes: buffers
   /// allocated after mark() can be dropped with release(), leaving earlier

@@ -115,11 +115,10 @@ constexpr unsigned WarpLanes = 32;
 
 // Integer wrap / saturated float->int conversion live in ir/Bytecode.h
 // (wrapToType / saturatingIntOf) so the native CPU backend shares the
-// exact semantics; the local names keep this file's call sites readable.
+// exact semantics; the local name keeps this file's call sites readable.
 // Cell writes (setI / setF) and the atomic fold (foldCell) live beside
 // Cell in gpusim/Device.h for the same reason.
 long long wrapInt(ScalarType Ty, long long V) { return wrapToType(Ty, V); }
-long long mirrorIntOf(double V) { return saturatingIntOf(V); }
 
 /// One deferred global-memory write recorded while a block executes in
 /// parallel mode. Entries keep program order within the block; replaying
@@ -466,7 +465,7 @@ private:
                  In.Ty);
           else
             setI(D, wrapInt(In.Ty,
-                            isFloatType(From) ? mirrorIntOf(S.F) : S.I));
+                            isFloatType(From) ? saturatingIntOf(S.F) : S.I));
         }
         chargeWarpInstr(Arch.AluCost, W.Active);
         ++W.PC;
@@ -853,23 +852,9 @@ private:
         for (unsigned L = 0; L != WarpLanes; ++L) {
           if (!(W.Active >> L & 1u))
             continue;
-          Cell &D = reg(W, In.Dst, L);
           Cell R = reg(W, In.Src1, L);
-          const Cell &B = reg(W, In.Src2, L);
-          if (isArgReduce(Op)) {
-            if (isFloatType(In.Ty)) {
-              applyReduceOpPair(Op, R.F, R.Idx, B.F, B.Idx);
-              R.I = mirrorIntOf(R.F);
-            } else {
-              applyReduceOpPair(Op, R.I, R.Idx, B.I, B.Idx);
-              R.F = static_cast<double>(R.I);
-            }
-            D = R;
-          } else if (isFloatType(In.Ty)) {
-            setF(D, applyReduceOp<double>(Op, R.F, B.F), In.Ty);
-          } else {
-            setI(D, wrapInt(In.Ty, applyReduceOp<long long>(Op, R.I, B.I)));
-          }
+          foldCell(Op, In.Ty, R, reg(W, In.Src2, L));
+          reg(W, In.Dst, L) = R;
         }
         chargeWarpInstr(Arch.AluCost, W.Active);
         ++W.PC;

@@ -35,8 +35,6 @@ using namespace tangram::ir;
 using namespace tangram::native;
 using sim::ArgValue;
 using sim::Buffer;
-using sim::BufferId;
-using sim::Cell;
 using sim::LaunchConfig;
 
 namespace {
@@ -50,7 +48,6 @@ double nowSeconds() {
 /// Typed, non-owning window into one pointer argument's device planes.
 struct View {
   bool IsBuffer = false;
-  BufferId Id = 0;
   Plane P = Plane::Int;
   bool Writable = false;
   size_t Size = 0;
@@ -1410,6 +1407,7 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
   }
   // Every global access must agree with the bound buffer's element plane:
   // typed planes cannot reinterpret the way Cell registers can.
+  std::vector<bool> Written(Args.size());
   for (const Instr &In : K.Code) {
     if (In.Op != Opcode::LdGlobal && In.Op != Opcode::StGlobal &&
         In.Op != Opcode::AtomGlobal)
@@ -1417,7 +1415,8 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
     const ArgValue &V = Args[In.MemId];
     if (!V.IsBuffer)
       continue;
-    Plane BufP = planeOf(Dev.get(V.Id).getElemType());
+    Written[In.MemId] = Written[In.MemId] || In.Op != Opcode::LdGlobal;
+    Plane BufP = Dev.get(V.Id).getPlane();
     if (BufP != planeOf(In.Ty)) {
       R.Errors.push_back(
           strformat("native launch: buffer argument %u holds %s data but "
@@ -1446,31 +1445,14 @@ NativeLaunchResult NativeMachine::launch(const NativeKernel &NK,
   // buffers get an index plane so results carry their payload.
   std::vector<View> Views(Args.size());
   for (size_t I = 0; I != Args.size(); ++I) {
-    const ArgValue &A = Args[I];
-    if (!A.IsBuffer)
+    if (!Args[I].IsBuffer)
       continue;
-    Buffer &B = Dev.get(A.Id);
+    Buffer &B = Dev.get(Args[I].Id);
     B.materialize();
-    View &V = Views[I];
-    V.IsBuffer = true;
-    V.Id = A.Id;
-    V.P = B.getPlane();
-    V.Writable = !B.isVirtual();
-    V.Size = B.size();
-  }
-  for (const Instr &In : K.Code)
-    if (NK.PairMode &&
-        (In.Op == Opcode::StGlobal || In.Op == Opcode::AtomGlobal) &&
-        Views[In.MemId].Writable)
-      Dev.get(Views[In.MemId].Id).ensureIdx();
-  for (View &V : Views) {
-    if (!V.IsBuffer)
-      continue;
-    Buffer &B = Dev.get(V.Id);
-    V.F32 = B.getF32();
-    V.F64 = B.getF64();
-    V.I = B.getInts();
-    V.Idx = B.getIdx();
+    if (NK.PairMode && Written[I] && !B.isVirtual())
+      B.ensureIdx();
+    Views[I] = {true,          B.getPlane(), !B.isVirtual(), B.size(),
+                B.getF32(),    B.getF64(),   B.getInts(),    B.getIdx()};
   }
 
   double T0 = nowSeconds();

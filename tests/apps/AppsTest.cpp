@@ -83,11 +83,10 @@ TEST(Histogram, SkewedDistribution) {
   for (HistogramStrategy S : {HistogramStrategy::GlobalAtomics,
                               HistogramStrategy::SharedPrivatized}) {
     Histogram App(NumBins, S);
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::I32, N);
     E.getDevice().writeInts(In, Keys);
     HistogramResult R = App.run(E, In, N);
-    E.deviceRelease(Mark);
     ASSERT_TRUE(R.Ok) << R.Error;
     EXPECT_EQ(R.Bins[7], static_cast<long long>(N));
   }

@@ -78,11 +78,10 @@ TEST(OmpCpuReduce, FunctionalCorrectness) {
   for (size_t N : {1u, 100u, 5000u, 100000u}) {
     std::vector<float> Data = randomFloats(N, 5);
     double Expected = referenceSum(Data);
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     E.getDevice().writeFloats(In, Data);
     FrameworkResult R = Omp.run(E, In, N, sim::ExecMode::Functional);
-    E.deviceRelease(Mark);
     ASSERT_TRUE(R.Ok);
     EXPECT_NEAR(R.Value, Expected, std::abs(Expected) * 1e-6 + 1e-3);
   }
@@ -113,13 +112,12 @@ TEST(OmpCpuReduce, SmallArraysBeatCub) {
   engine::ExecutionEngine E(sim::getPascalP100());
   for (size_t N : {64u, 1024u, 16384u}) {
     std::vector<float> Data = randomFloats(N, 1);
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In =
         E.getDevice().alloc(ir::ScalarType::F32, std::max<size_t>(N, 4));
     E.getDevice().writeFloats(In, Data);
     double CubT = Cub.run(E, In, N, sim::ExecMode::Functional).Seconds;
     double OmpT = Omp.run(E, In, N, sim::ExecMode::Functional).Seconds;
-    E.deviceRelease(Mark);
     EXPECT_GT(CubT, 2.0 * OmpT) << "N=" << N;
   }
 }

@@ -38,12 +38,11 @@ TEST(DeprecatedShims, PositionalReduceMatchesRequestRun) {
   const size_t N = 2048;
   std::vector<float> Data(N, 0.5f);
 
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
   E.getDevice().writeFloats(In, Data);
   auto Old = E.reduce(V, In, N);
   auto New = E.run(engine::ReduceRequest{.Desc = V, .In = In, .N = N});
-  E.deviceRelease(Mark);
 
   ASSERT_TRUE(Old.ok()) << Old.status().toString();
   ASSERT_TRUE(New.ok()) << New.status().toString();
@@ -56,12 +55,11 @@ TEST(DeprecatedShims, PositionalRunReductionMatchesRequestRun) {
   auto S = E.getVariant(facade().getSearchSpace().Pruned.front());
   ASSERT_TRUE(S.ok()) << S.status().toString();
   const size_t N = 1024;
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
   E.getDevice().writeFloats(In, std::vector<float>(N, 2.0f));
   auto Old = E.runReduction(**S, In, N);
   auto New = E.run(engine::ReduceRequest{.In = In, .N = N}, **S);
-  E.deviceRelease(Mark);
   ASSERT_TRUE(Old.ok() && New.ok());
   EXPECT_EQ(Old->FloatValue, New->FloatValue);
 }
@@ -100,11 +98,10 @@ TEST(DeprecatedShims, PositionalSelectorReduceStillAnswers) {
   DynamicSelector Selector(facade());
   engine::ExecutionEngine &E = facade().engineFor(sim::getMaxwellGTX980());
   const size_t N = 1024;
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
   E.getDevice().writeFloats(In, std::vector<float>(N, 1.0f));
   auto Out = Selector.reduce(E, In, N);
-  E.deviceRelease(Mark);
   ASSERT_TRUE(Out.ok()) << Out.status().toString();
   EXPECT_EQ(Out->FloatValue, static_cast<double>(N));
 }

@@ -157,19 +157,17 @@ TEST(ExecutionEngine, DeterminismAcrossThreadCounts) {
       D.BlockSize = 128;
       D.Coarsen = D.BlockDistributes ? 4 : 1;
 
-      size_t MarkSeq = ESeq.deviceMark();
+      sim::DeviceScope ScratchSeq(ESeq.getDevice());
       sim::BufferId InSeq = ESeq.getDevice().alloc(ir::ScalarType::F32, N);
       ESeq.getDevice().writeFloats(InSeq, Data);
       auto OutSeq =
           ESeq.run(engine::ReduceRequest{.Desc = D, .In = InSeq, .N = N});
-      ESeq.deviceRelease(MarkSeq);
 
-      size_t MarkPar = EPar.deviceMark();
+      sim::DeviceScope ScratchPar(EPar.getDevice());
       sim::BufferId InPar = EPar.getDevice().alloc(ir::ScalarType::F32, N);
       EPar.getDevice().writeFloats(InPar, Data);
       auto OutPar =
           EPar.run(engine::ReduceRequest{.Desc = D, .In = InPar, .N = N});
-      EPar.deviceRelease(MarkPar);
 
       ASSERT_TRUE(OutSeq.ok())
           << D.getName() << ": " << OutSeq.status().toString();

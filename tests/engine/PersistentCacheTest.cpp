@@ -92,7 +92,7 @@ VariantDescriptor pickDescriptor(TangramReduction &TR,
 engine::ReduceResult runOnce(engine::ExecutionEngine &E,
                              const VariantDescriptor &D, ir::ScalarType Elem,
                              engine::Backend B, size_t N) {
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::BufferId In = E.getDevice().alloc(Elem, N);
   if (Elem == ir::ScalarType::F32) {
     std::vector<float> Data(N);
@@ -112,7 +112,6 @@ engine::ReduceResult runOnce(engine::ExecutionEngine &E,
   Req.BackendKind = B;
   auto Out = E.run(Req);
   EXPECT_TRUE(Out.ok()) << Out.status().toString();
-  E.deviceRelease(Mark);
   return Out.ok() ? *Out : engine::ReduceResult{};
 }
 

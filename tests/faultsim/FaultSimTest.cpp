@@ -155,12 +155,11 @@ TEST(FaultMatrix, CleanRunsAreBitIdenticalWithInjectorPresent) {
     Data[I] = 0.25f * ((I % 9) + 1);
 
   auto RunOnce = [&]() {
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     E.getDevice().writeFloats(In, Data);
     auto Out =
         E.run(engine::ReduceRequest{.Desc = *V, .In = In, .N = N});
-    E.deviceRelease(Mark);
     EXPECT_TRUE(Out.ok()) << Out.status().toString();
     return Out.ok() ? std::make_pair(Out->FloatValue,
                                      Out->Launch.Stats.WarpCycles)
@@ -269,12 +268,11 @@ TEST(Selector, StillAnswersNativelyWhenEveryCandidateIsQuarantined) {
     Data[I] = static_cast<float>(I % 17);
     Expected += Data[I];
   }
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
   E.getDevice().writeFloats(In, Data);
   auto Out =
         Selector.reduce(E, engine::ReduceRequest{.In = In, .N = N});
-  E.deviceRelease(Mark);
 
   ASSERT_TRUE(Out.ok()) << Out.status().toString();
   EXPECT_EQ(Out->FloatValue, Expected); // exact: i%17 sums are integral
@@ -309,12 +307,11 @@ TEST(Selector, KeepsAnsweringUnderInjectedStuckWarps) {
   }
 
   for (unsigned Call = 0; Call != 3; ++Call) {
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     E.getDevice().writeFloats(In, Data);
     auto Out =
         Selector.reduce(E, engine::ReduceRequest{.In = In, .N = N});
-    E.deviceRelease(Mark);
     ASSERT_TRUE(Out.ok()) << "call " << Call << ": "
                           << Out.status().toString();
     EXPECT_EQ(Out->FloatValue, Expected) << "call " << Call;

@@ -73,7 +73,7 @@ TEST(NativeDifferential, EveryVariantMatchesTheOracleOnEveryArch) {
   unsigned Compared = 0;
   for (unsigned A = 0; A != ArchCount; ++A) {
     engine::ExecutionEngine &E = TR.engineFor(Archs[A]);
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     VirtualPattern Pattern;
     BufferId In = E.getDevice().allocVirtual(ir::ScalarType::F32, N, Pattern);
     for (const VariantDescriptor &V : TR.getSearchSpace().All) {
@@ -94,7 +94,6 @@ TEST(NativeDifferential, EveryVariantMatchesTheOracleOnEveryArch) {
           << Cell;
       ++Compared;
     }
-    E.deviceRelease(Mark);
   }
   // The default facade's space is fully legal on every modeled arch: the
   // sweep must actually have compared arch-count x 68 pairs, not skipped.
@@ -159,7 +158,7 @@ TEST_P(NativeOpMatrix, NativeAgreesWithTheOracle) {
   // permutation below yields pairwise-distinct values — the arg-reduction
   // winner index is unambiguous and must match bit-for-bit.
   const size_t N = 1023;
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   BufferId In = E.getDevice().alloc(P.Elem, N);
   if (P.Elem == ir::ScalarType::F32) {
     std::vector<float> Data(N);
@@ -206,7 +205,6 @@ TEST_P(NativeOpMatrix, NativeAgreesWithTheOracle) {
       EXPECT_EQ(Nat->IndexValue, Sim->IndexValue) << Cell;
     }
   }
-  E.deviceRelease(Mark);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -300,7 +298,7 @@ TEST(NativeDifferential, RaceCheckIsRefusedNatively) {
   TangramReduction &TR = facade();
   engine::ExecutionEngine &E = TR.engineFor(getPascalP100());
   const VariantDescriptor &D = *findByFigure6Label(TR.getSearchSpace(), "b");
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   VirtualPattern Pattern;
   BufferId In = E.getDevice().allocVirtual(ir::ScalarType::F32, 4096, Pattern);
   auto Out = E.run(engine::ReduceRequest{
@@ -311,7 +309,6 @@ TEST(NativeDifferential, RaceCheckIsRefusedNatively) {
       .BackendKind = engine::Backend::NativeCpu});
   ASSERT_FALSE(Out.ok());
   EXPECT_EQ(Out.status().Code, StatusCode::InvalidArgument);
-  E.deviceRelease(Mark);
 }
 
 TEST(NativeDifferential, SelectorFallsBackToNativeWhenSimulatorPathIsDead) {

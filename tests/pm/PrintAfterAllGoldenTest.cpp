@@ -48,7 +48,7 @@ std::string dumpWithThreads(unsigned Threads) {
   engine::ExecutionEngine &E = (*TR)->engineFor(sim::getPascalP100());
   const size_t N = 4096;
   for (size_t I = 0; I != Space.Pruned.size() && I != 4; ++I) {
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     std::vector<float> Host(N, 1.0f);
     E.getDevice().writeFloats(In, Host);
@@ -56,7 +56,6 @@ std::string dumpWithThreads(unsigned Threads) {
         engine::ReduceRequest{.Desc = Space.Pruned[I], .In = In, .N = N});
     EXPECT_TRUE(static_cast<bool>(Out))
         << Space.Pruned[I].getName() << ": " << Out.status().toString();
-    E.deviceRelease(Mark);
   }
   return (*TR)->getInstrumentation().getDumpText();
 }

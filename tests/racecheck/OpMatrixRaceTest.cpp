@@ -24,7 +24,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 using namespace tangram;
 using namespace tangram::synth;
@@ -80,26 +79,24 @@ class OpMatrix : public ::testing::TestWithParam<MatrixPoint> {};
 
 /// Deterministic input with a unique extremum (so arg-reduction indices
 /// are unambiguous) and values small enough for exact float sums.
-/// Float buffers get IV * 0.25, integer buffers IV, each written in the
-/// buffer's own type.
 void fillInput(sim::Device &Dev, sim::BufferId In, size_t N,
                reduce::HostAccumulator &Ref) {
-  std::vector<float> F(N);
-  std::vector<int> I32(N);
+  sim::Buffer &B = Dev.get(In);
   for (size_t I = 0; I != N; ++I) {
-    int IV = static_cast<int>((I * 37) % 4099) - 2000;
+    long long IV = static_cast<long long>((I * 37) % 4099) - 2000;
     if (I == N / 3) // One unique global extremum in both directions.
       IV = 5000;
     if (I == 2 * N / 3)
       IV = -5000;
-    F[I] = static_cast<float>(IV) * 0.25f;
-    I32[I] = IV;
-    Ref.accumulate(F[I], IV, static_cast<long long>(I));
+    // Float buffers hold IV * 0.25, integer buffers IV.
+    sim::Cell C;
+    if (ir::isFloatType(B.getElemType()))
+      sim::setF(C, static_cast<double>(IV) * 0.25, B.getElemType());
+    else
+      sim::setI(C, IV);
+    B.store(I, C);
+    Ref.accumulate(C.F, C.I, static_cast<long long>(I));
   }
-  if (ir::isFloatType(Dev.get(In).getElemType()))
-    Dev.writeFloats(In, F);
-  else
-    Dev.writeInts(In, I32);
 }
 
 TEST_P(OpMatrix, RepresentativeVariantsAreRaceFreeAndHostExact) {
@@ -142,13 +139,12 @@ TEST_P(OpMatrix, RepresentativeVariantsAreRaceFreeAndHostExact) {
       // Functional run against the table-driven host reference: values
       // AND indices must match exactly.
       engine::ExecutionEngine &E = TR.engineFor(Arch);
-      size_t Mark = E.deviceMark();
+      sim::DeviceScope Scratch(E.getDevice());
       sim::BufferId In = E.getDevice().alloc(P.Elem, N);
       reduce::HostAccumulator Ref(P.Op, P.Elem);
       fillInput(E.getDevice(), In, N, Ref);
       auto Out =
           E.run(engine::ReduceRequest{.Desc = *V, .In = In, .N = N});
-      E.deviceRelease(Mark);
       ASSERT_TRUE(Out.ok()) << Cell << ": " << Out.status().toString();
       if (ir::isFloatType(P.Elem))
         EXPECT_EQ(Out->FloatValue, Ref.valueF()) << Cell;

@@ -147,24 +147,18 @@ engine::RaceReport seedAndCheck(const VariantDescriptor &Desc,
   V.Compiled = ir::compileKernel(*K);
 
   engine::ExecutionEngine &E = TR.engineFor(Arch);
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::BufferId In = E.getDevice().alloc(V.Elem, N);
-  std::vector<int> Ints(N);
-  std::vector<float> Floats(N);
   for (size_t I = 0; I != N; ++I) {
-    Ints[I] = static_cast<int>(I % 17);
-    Floats[I] = static_cast<float>(Ints[I]);
+    sim::Cell C;
+    sim::setI(C, static_cast<long long>(I % 17));
+    E.getDevice().get(In).store(I, C);
   }
-  if (ir::isFloatType(V.Elem))
-    E.getDevice().writeFloats(In, Floats);
-  else
-    E.getDevice().writeInts(In, Ints);
   engine::ReduceRequest Req;
   Req.In = In;
   Req.N = N;
   Req.Mode = sim::ExecMode::RaceCheck;
   auto Run = E.run(Req, V);
-  E.deviceRelease(Mark);
   EXPECT_TRUE(Run.ok()) << Run.status().toString();
 
   engine::RaceReport Report;

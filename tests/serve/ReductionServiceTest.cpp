@@ -61,7 +61,7 @@ engine::ReduceResult runAlone(ReductionService &Svc, const JobSpec &Spec) {
   EXPECT_NE(E, nullptr);
   EXPECT_NE(Desc, nullptr);
   sim::Device &Dev = E->getDevice();
-  size_t Mark = Dev.mark();
+  sim::DeviceScope Scratch(Dev);
   sim::BufferId In = Dev.alloc(Spec.Elem, std::max<size_t>(1, Spec.size()));
   if (ir::isFloatType(Spec.Elem)) {
     std::vector<float> Host;
@@ -79,7 +79,6 @@ engine::ReduceResult runAlone(ReductionService &Svc, const JobSpec &Spec) {
   Req.In = In;
   Req.N = Spec.size();
   auto Out = E->run(Req);
-  Dev.release(Mark);
   EXPECT_TRUE(Out.ok()) << Out.status().toString();
   return Out.ok() ? *Out : engine::ReduceResult{};
 }

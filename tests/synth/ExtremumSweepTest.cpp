@@ -4,15 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every variant of the full search space, for Min/Max/ArgMax over I32 and
-// F32 on Pascal, on the simulator and (wherever the variant lowers) on the
-// native backend, against reduce::HostAccumulator. The inputs are
-// one-signed — all positive, then all negative — so a lane that folds a
-// literal 0 instead of the op's identity (an unguarded `: 0` arm) changes
-// the answer. Sizes cover one element, a partial warp, a partial block
-// and a multi-block grid.
-//
-// Registered under the `op-matrix` ctest label.
+// All 68 variants x {Min, Max, ArgMax} x {I32, F32} on Pascal, simulator
+// and (wherever the variant lowers) native, against HostAccumulator. The
+// inputs are one-signed, so a lane that folds a literal 0 instead of the
+// op's identity changes the answer. Registered under `op-matrix`.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 using namespace tangram;
 using namespace tangram::synth;
@@ -49,49 +43,42 @@ TEST_P(ExtremumSweep, EveryVariantMatchesTheHostOnOneSignedInputs) {
   auto TR = TangramReduction::create(Opts);
   ASSERT_TRUE(TR.ok()) << TR.status().toString();
   engine::ExecutionEngine &E = (*TR)->engineFor(sim::getPascalP100());
-  const bool IsFloat = ir::isFloatType(P.Elem);
-
   unsigned NativeRuns = 0;
   for (long long Sign : {1, -1}) {
     for (size_t N : {1, 7, 300, 5000}) {
       // Pairwise-distinct magnitudes 1..10007 (7919 is coprime with the
       // prime 10007), exact in f32.
-      std::vector<int> Ints(N);
-      std::vector<float> Floats(N);
-      reduce::HostAccumulator Ref(P.Op, P.Elem);
-      for (size_t I = 0; I != N; ++I) {
-        Ints[I] = static_cast<int>(Sign * (1 + (I * 7919) % 10007));
-        Floats[I] = static_cast<float>(Ints[I]);
-        Ref.accumulate(Floats[I], Ints[I], static_cast<long long>(I));
-      }
       sim::DeviceScope Scratch(E.getDevice());
       sim::BufferId In = E.getDevice().alloc(P.Elem, N);
-      if (IsFloat)
-        E.getDevice().writeFloats(In, Floats);
-      else
-        E.getDevice().writeInts(In, Ints);
+      reduce::HostAccumulator Ref(P.Op, P.Elem);
+      for (size_t I = 0; I != N; ++I) {
+        sim::Cell C;
+        sim::setI(C, Sign * static_cast<long long>(1 + I * 7919 % 10007));
+        E.getDevice().get(In).store(I, C);
+        Ref.accumulate(C.F, C.I, static_cast<long long>(I));
+      }
 
       for (const VariantDescriptor &V : (*TR)->getSearchSpace().All) {
         for (engine::Backend B :
              {engine::Backend::Simulator, engine::Backend::NativeCpu}) {
-          std::string Where = pointName(P) + " / " + V.getName() + " / N=" +
-                              std::to_string(N) +
-                              (Sign > 0 ? " positive" : " negative") +
-                              (B == engine::Backend::NativeCpu ? " / native"
-                                                               : " / sim");
           if (B == engine::Backend::NativeCpu && !E.getVariant(V, {}, B))
             continue; // Outside the native backend's typed subset.
-          auto Out = E.run(
-              engine::ReduceRequest{.Desc = V, .In = In, .N = N,
-                                    .BackendKind = B});
+          auto Out = E.run(engine::ReduceRequest{
+              .Desc = V, .In = In, .N = N, .BackendKind = B});
+          std::string Where = pointName(P) + " / " + V.getName() +
+                              " / N=" + std::to_string(N) +
+                              (Sign > 0 ? " positive / " : " negative / ") +
+                              engine::getBackendName(B);
           ASSERT_TRUE(Out.ok()) << Where << ": " << Out.status().toString();
           NativeRuns += B == engine::Backend::NativeCpu;
-          if (IsFloat)
+          if (ir::isFloatType(P.Elem)) {
             EXPECT_EQ(Out->FloatValue, Ref.valueF()) << Where;
-          else
+          } else {
             EXPECT_EQ(Out->IntValue, Ref.valueI()) << Where;
-          if (isArgReduce(P.Op))
+          }
+          if (isArgReduce(P.Op)) {
             EXPECT_EQ(Out->IndexValue, Ref.index()) << Where;
+          }
         }
       }
     }

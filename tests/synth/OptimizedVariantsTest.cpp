@@ -87,11 +87,10 @@ TEST_P(OptimizedVariants, AllPrunedVariantsStayCorrect) {
     auto S = Synth.synthesize(V, Flags);
     ASSERT_TRUE(S.ok()) << V.getName() << ": "
                         << S.status().toString();
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     E.getDevice().writeFloats(In, Data);
     auto Out = E.run(engine::ReduceRequest{.In = In, .N = N}, **S);
-    E.deviceRelease(Mark);
     ASSERT_TRUE(Out.ok()) << V.getName() << ": "
                           << Out.status().toString();
     EXPECT_NEAR(Out->FloatValue, Expected, std::abs(Expected) * 1e-3 + 1e-2)
@@ -153,7 +152,7 @@ TEST(OptimizedVariants, AggregationHelpsVariantNOnKepler) {
   const size_t Size = 1 << 16;
   engine::ExecutionEngine E(sim::getKeplerK40c());
   auto TimeOf = [&](const SynthesizedVariant &S) {
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::VirtualPattern Pattern;
     sim::BufferId In =
         E.getDevice().allocVirtual(ir::ScalarType::F32, Size, Pattern);
@@ -163,7 +162,6 @@ TEST(OptimizedVariants, AggregationHelpsVariantNOnKepler) {
                                     .Mode = sim::ExecMode::Sampled},
               S)
             ->Seconds;
-    E.deviceRelease(Mark);
     return Seconds;
   };
   EXPECT_LT(TimeOf(**Agg), TimeOf(**Plain));

@@ -196,11 +196,10 @@ TEST(ReductionRunner, OriginalTenVersionsComputeCorrectSums) {
     auto S = Synth.synthesize(V);
     ASSERT_TRUE(S.ok()) << V.getName() << ": "
                        << S.status().toString();
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     E.getDevice().writeFloats(In, Data);
     auto Out = E.run(engine::ReduceRequest{.In = In, .N = N}, **S);
-    E.deviceRelease(Mark);
     ASSERT_TRUE(Out.ok()) << V.getName() << ": "
                           << Out.status().toString();
     EXPECT_NEAR(Out->FloatValue, Expected, std::abs(Expected) * 1e-4 + 1e-2)
@@ -229,7 +228,7 @@ TEST(ReductionRunner, PruningJustifiedSecondKernelIsSlower) {
   engine::ExecutionEngine EA(sim::getMaxwellGTX980());
   engine::ExecutionEngine ET(sim::getMaxwellGTX980());
   for (size_t N : {4096u, 65536u, 1u << 20}) {
-    size_t MarkA = EA.deviceMark(), MarkT = ET.deviceMark();
+    sim::DeviceScope ScratchA(EA.getDevice()), ScratchT(ET.getDevice());
     sim::VirtualPattern Pattern;
     sim::BufferId InA =
         EA.getDevice().allocVirtual(ir::ScalarType::F32, N, Pattern);
@@ -245,8 +244,6 @@ TEST(ReductionRunner, PruningJustifiedSecondKernelIsSlower) {
                                              .Mode = sim::ExecMode::Sampled},
                        **ST)
                     ->Seconds;
-    EA.deviceRelease(MarkA);
-    ET.deviceRelease(MarkT);
     // The second launch dominates at small/medium sizes and amortizes
     // (but never pays off) at larger ones.
     double Margin = N <= 65536 ? 1.3 : 1.1;
@@ -314,11 +311,10 @@ TEST(ReductionRunner, AllPrunedVariantsComputeCorrectSums) {
     ASSERT_TRUE(S.ok()) << V.getName() << ": "
                        << S.status().toString();
 
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     E.getDevice().writeFloats(In, Data);
     auto Out = E.run(engine::ReduceRequest{.In = In, .N = N}, **S);
-    E.deviceRelease(Mark);
     ASSERT_TRUE(Out.ok()) << V.getName() << ": "
                           << Out.status().toString();
     EXPECT_NEAR(Out->FloatValue, Expected, std::abs(Expected) * 1e-4 + 1e-2)
@@ -411,11 +407,10 @@ TEST(ReductionRunner, IntReductionIsExact) {
     V.Coarsen = V.BlockDistributes ? 8 : 1;
     auto S = Synth.synthesize(V);
     ASSERT_TRUE(S.ok()) << S.status().toString();
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::I32, N);
     E.getDevice().writeInts(In, Data);
     auto Out = E.run(engine::ReduceRequest{.In = In, .N = N}, **S);
-    E.deviceRelease(Mark);
     ASSERT_TRUE(Out.ok()) << Out.status().toString();
     EXPECT_EQ(Out->IntValue, Expected) << Label;
   }
@@ -443,11 +438,10 @@ TEST(ReductionRunner, MaxAndMinReductions) {
       auto S = Synth.synthesize(V);
       ASSERT_TRUE(S.ok()) << getReduceOpName(Op) << " "
                           << S.status().toString();
-      size_t Mark = E.deviceMark();
+      sim::DeviceScope Scratch(E.getDevice());
       sim::BufferId In = E.getDevice().alloc(ir::ScalarType::I32, N);
       E.getDevice().writeInts(In, Data);
       auto Out = E.run(engine::ReduceRequest{.In = In, .N = N}, **S);
-      E.deviceRelease(Mark);
       ASSERT_TRUE(Out.ok()) << Out.status().toString();
       EXPECT_EQ(Out->IntValue, Expected)
           << getReduceOpName(Op) << " " << Label;
@@ -471,11 +465,10 @@ TEST(ReductionRunner, SingleElementAndTinyInputs) {
       V.BlockSize = 64;
       auto S = Synth.synthesize(V);
       ASSERT_TRUE(S.ok()) << S.status().toString();
-      size_t Mark = E.deviceMark();
+      sim::DeviceScope Scratch(E.getDevice());
       sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
       E.getDevice().writeFloats(In, Data);
       auto Out = E.run(engine::ReduceRequest{.In = In, .N = N}, **S);
-      E.deviceRelease(Mark);
       ASSERT_TRUE(Out.ok()) << Out.status().toString();
       EXPECT_NEAR(Out->FloatValue, Expected, 1e-3)
           << "N=" << N << " " << Label;

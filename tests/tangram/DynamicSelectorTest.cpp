@@ -33,12 +33,11 @@ TEST(DynamicSelector, DefaultPortfolioIsTheBestEight) {
   engine::ExecutionEngine &E = facade().engineFor(Arch);
   for (unsigned Call = 0; Call != 8; ++Call) {
     EXPECT_FALSE(Selector.isConverged(Arch, N));
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     E.getDevice().writeFloats(In, Data);
     auto Out =
         Selector.reduce(E, engine::ReduceRequest{.In = In, .N = N});
-    E.deviceRelease(Mark);
     ASSERT_TRUE(Out.ok()) << Out.status().toString();
     EXPECT_NEAR(Out->FloatValue, N * 0.5, 1e-2);
   }
@@ -59,12 +58,11 @@ TEST(DynamicSelector, EveryCallReturnsCorrectResult) {
   }
   engine::ExecutionEngine &E = facade().engineFor(Arch);
   for (unsigned Call = 0; Call != 12; ++Call) {
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
     E.getDevice().writeFloats(In, Data);
     auto Out =
         Selector.reduce(E, engine::ReduceRequest{.In = In, .N = N});
-    E.deviceRelease(Mark);
     ASSERT_TRUE(Out.ok()) << "call " << Call << ": "
                           << Out.status().toString();
     EXPECT_NEAR(Out->FloatValue, Expected, Expected * 1e-4);
@@ -80,12 +78,11 @@ TEST(DynamicSelector, ConvergesToArchAppropriateWinner) {
   auto Converge = [&](DynamicSelector &Sel, const sim::ArchDesc &Arch) {
     engine::ExecutionEngine &E = facade().engineFor(Arch);
     for (unsigned Call = 0; Call != 8; ++Call) {
-      size_t Mark = E.deviceMark();
+      sim::DeviceScope Scratch(E.getDevice());
       sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, N);
       E.getDevice().writeFloats(In, Data);
       EXPECT_TRUE(
           Sel.reduce(E, engine::ReduceRequest{.In = In, .N = N}).ok());
-      E.deviceRelease(Mark);
     }
   };
   Converge(Maxwell, sim::getMaxwellGTX980());
@@ -109,12 +106,11 @@ TEST(DynamicSelector, BucketsAreIndependent) {
             DynamicSelector::bucketOf(1 << 20));
   std::vector<float> Data(64, 1.0f);
   engine::ExecutionEngine &E = facade().engineFor(Arch);
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, 64);
   E.getDevice().writeFloats(In, Data);
   EXPECT_TRUE(
       Selector.reduce(E, engine::ReduceRequest{.In = In, .N = 64}).ok());
-  E.deviceRelease(Mark);
   // A different bucket has seen nothing yet.
   EXPECT_FALSE(Selector.isConverged(Arch, 1 << 20));
   EXPECT_EQ(Selector.getBest(Arch, 1 << 20), nullptr);
@@ -130,12 +126,11 @@ TEST(DynamicSelector, CustomPortfolio) {
   std::vector<float> Data(512, 2.0f);
   engine::ExecutionEngine &E = facade().engineFor(Arch);
   for (unsigned Call = 0; Call != 2; ++Call) {
-    size_t Mark = E.deviceMark();
+    sim::DeviceScope Scratch(E.getDevice());
     sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, 512);
     E.getDevice().writeFloats(In, Data);
     EXPECT_TRUE(
         Selector.reduce(E, engine::ReduceRequest{.In = In, .N = 512}).ok());
-    E.deviceRelease(Mark);
   }
   EXPECT_TRUE(Selector.isConverged(Arch, 512));
   const VariantDescriptor *Best = Selector.getBest(Arch, 512);

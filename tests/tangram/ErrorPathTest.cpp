@@ -62,10 +62,9 @@ TEST(ErrorPath, OversizedBlockIsLaunchError) {
   VariantDescriptor V = (*TR)->getSearchSpace().Pruned.front();
   V.BlockSize = 2048; // Every modeled arch caps at 1024.
   engine::ExecutionEngine &E = (*TR)->engineFor(sim::getPascalP100());
-  size_t Mark = E.deviceMark();
+  sim::DeviceScope Scratch(E.getDevice());
   sim::BufferId In = E.getDevice().alloc(ir::ScalarType::F32, 4096);
   auto Out = E.run(engine::ReduceRequest{.Desc = V, .In = In, .N = 4096});
-  E.deviceRelease(Mark);
   ASSERT_FALSE(Out.ok());
   EXPECT_EQ(Out.code(), StatusCode::LaunchError);
   EXPECT_NE(Out.status().Message.find("exceeds the architecture limit"),
