@@ -266,8 +266,8 @@ public:
   /// still trap/timeout. The Status names why a run was priced out.
   /// Backend::Simulator times the cycle model (Sampled mode);
   /// Backend::NativeCpu times real host execution — the second run is
-  /// measured so typed-mirror conversion amortizes out, mimicking a warm
-  /// serving loop.
+  /// measured so the virtual input's one-time materialization is excluded,
+  /// mimicking a warm serving loop.
   support::Expected<double>
   timeVariantChecked(const synth::VariantDescriptor &Desc, size_t N,
                      unsigned RetryBudgetFactor = 8,

@@ -11,25 +11,6 @@
 using namespace tangram;
 using namespace tangram::sim;
 
-void tangram::sim::foldCell(ReduceOp Op, ir::ScalarType Ty, Cell &Target,
-                            const Cell &V) {
-  if (isArgReduce(Op)) {
-    if (ir::isFloatType(Ty)) {
-      applyReduceOpPair(Op, Target.F, Target.Idx, V.F, V.Idx);
-      Target.I = ir::saturatingIntOf(Target.F);
-    } else {
-      applyReduceOpPair(Op, Target.I, Target.Idx, V.I, V.Idx);
-      Target.F = static_cast<double>(Target.I);
-    }
-    return;
-  }
-  if (ir::isFloatType(Ty))
-    setF(Target, applyReduceOp<double>(Op, Target.F, V.F), Ty);
-  else
-    setI(Target,
-         ir::wrapToType(Ty, applyReduceOp<long long>(Op, Target.I, V.I)));
-}
-
 const char *tangram::sim::getPlaneName(Plane P) {
   switch (P) {
   case Plane::Int:

@@ -71,7 +71,24 @@ inline void setF(Cell &C, double V, ir::ScalarType Ty = ir::ScalarType::F32) {
 /// host-epilogue semantics of every backend. The element type picks the
 /// authoritative value lane, pair ops fold (value, index) with the
 /// smaller-index tie-break, and the other numeric lane mirrors the result.
-void foldCell(ReduceOp Op, ir::ScalarType Ty, Cell &Target, const Cell &V);
+inline void foldCell(ReduceOp Op, ir::ScalarType Ty, Cell &Target,
+                     const Cell &V) {
+  if (isArgReduce(Op)) {
+    if (ir::isFloatType(Ty)) {
+      applyReduceOpPair(Op, Target.F, Target.Idx, V.F, V.Idx);
+      Target.I = ir::saturatingIntOf(Target.F);
+    } else {
+      applyReduceOpPair(Op, Target.I, Target.Idx, V.I, V.Idx);
+      Target.F = static_cast<double>(Target.I);
+    }
+    return;
+  }
+  if (ir::isFloatType(Ty))
+    setF(Target, applyReduceOp<double>(Op, Target.F, V.F), Ty);
+  else
+    setI(Target,
+         ir::wrapToType(Ty, applyReduceOp<long long>(Op, Target.I, V.I)));
+}
 
 /// A typed storage plane: the host type that holds values of a scalar type.
 enum class Plane : unsigned char { Int, F32, F64 };

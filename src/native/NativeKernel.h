@@ -73,7 +73,7 @@ struct NativeKernel {
   std::vector<ValuePlane> OperandPlane;
   /// Kernel manipulates (value, index) pairs: MkPair, arg-reductions, or
   /// arg-atomics appear. The machine then threads an Idx plane through
-  /// registers, shared arrays, and buffer mirrors, like Cell::Idx.
+  /// registers, shared arrays, and device buffers, like Cell::Idx.
   bool PairMode = false;
   /// Which planes the kernel touches (skip allocating the others).
   bool UsesInt = false, UsesF32 = false, UsesF64 = false;
