@@ -33,13 +33,15 @@ double referenceSum(const std::vector<float> &Data) {
   return Sum;
 }
 
+// The framework name is a std::string so that gtest prints it by value;
+// a const char * would print its address into the ctest test name.
 class GpuBaselineCorrectness
-    : public ::testing::TestWithParam<std::tuple<const char *, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, size_t>> {};
 
 TEST_P(GpuBaselineCorrectness, MatchesReference) {
   auto [Which, N] = GetParam();
   std::unique_ptr<ReductionFramework> FW;
-  if (std::string(Which) == "cub")
+  if (Which == "cub")
     FW = std::make_unique<CubReduce>();
   else
     FW = std::make_unique<KokkosReduce>();
@@ -68,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(1, 3, 4, 64, 100, 1024,
                                                  4097, 65536, 262144)),
     [](const auto &Info) {
-      return std::string(std::get<0>(Info.param)) + "_n" +
+      return std::get<0>(Info.param) + "_n" +
              std::to_string(std::get<1>(Info.param));
     });
 

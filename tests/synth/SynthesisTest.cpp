@@ -332,6 +332,13 @@ struct SweepParam {
   size_t N;
 };
 
+/// Prints the fields, not the bytes: the default byte dump includes the
+/// Label pointer, which ctest would fold into a test name that changes with
+/// every build.
+void PrintTo(const SweepParam &P, std::ostream *OS) {
+  *OS << P.Label << '/' << P.BlockSize << '/' << P.Coarsen << '/' << P.N;
+}
+
 class BestVariantSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(BestVariantSweep, CorrectOnAllArchitectures) {
