@@ -217,7 +217,7 @@ inline void writeBenchRecords(std::FILE *F,
     double Seconds = std::isfinite(R.Seconds) ? R.Seconds : 0;
     std::fprintf(F,
                  "%s{\"variant\": \"%s\", \"arch\": \"%s\", \"n\": %zu, "
-                 "\"seconds\": %.9g, \"status\": \"%s\"}%s\n",
+                 "\"seconds\": %.17g, \"status\": \"%s\"}%s\n",
                  Indent, R.Variant.c_str(), R.Arch.c_str(), R.N, Seconds,
                  R.Status.c_str(), I + 1 == Records.size() ? "" : ",");
   }

@@ -28,7 +28,7 @@
 #ifndef TANGRAM_GPUSIM_FAULTINJECTOR_H
 #define TANGRAM_GPUSIM_FAULTINJECTOR_H
 
-#include "gpusim/Device.h"
+#include "gpusim/Cell.h"
 
 #include <cstdint>
 #include <string>

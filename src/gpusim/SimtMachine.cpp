@@ -7,6 +7,7 @@
 #include "gpusim/SimtMachine.h"
 
 #include "support/ErrorHandling.h"
+#include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 
 using namespace tangram;
@@ -117,21 +119,8 @@ constexpr unsigned WarpLanes = 32;
 // (wrapToType / saturatingIntOf) so the native CPU backend shares the
 // exact semantics; the local name keeps this file's call sites readable.
 // Cell writes (setI / setF) and the atomic fold (foldCell) live beside
-// Cell in gpusim/Device.h for the same reason.
+// Cell in gpusim/Cell.h for the same reason.
 long long wrapInt(ScalarType Ty, long long V) { return wrapToType(Ty, V); }
-
-/// One deferred global-memory write recorded while a block executes in
-/// parallel mode. Entries keep program order within the block; replaying
-/// whole logs in block-index order reproduces the exact memory state the
-/// sequential block loop would have produced.
-struct GlobalEffect {
-  BufferId Buf = 0;
-  size_t Idx = 0;
-  bool Atomic = false;
-  ReduceOp Op = ReduceOp::Add;
-  ScalarType Ty = ScalarType::I32;
-  Cell Value;
-};
 
 struct Frame {
   uint32_t Saved = 0;
@@ -1035,6 +1024,79 @@ bool tangram::sim::kernelLoadsWrittenBuffer(const CompiledKernel &Kernel,
   return false;
 }
 
+void BlockOutcome::commit(Device &Dev) const {
+  for (const GlobalEffect &E : Effects) {
+    Buffer &B = Dev.get(E.Buf);
+    if (E.Atomic) {
+      Cell C = B.load(E.Idx);
+      foldCell(E.Op, E.Ty, C, E.Value);
+      B.store(E.Idx, C);
+    } else {
+      B.store(E.Idx, E.Value);
+    }
+  }
+}
+
+namespace {
+
+/// Watchdog budget: callers can size it precisely; 0 derives a generous
+/// default from the kernel size, warp count, and the largest scalar
+/// argument (a proxy for the problem size a serial kernel may legally
+/// walk). The default is deliberately loose — orders of magnitude above
+/// any legitimate kernel's issue count — but finite, so a livelocked lock
+/// loop always traps instead of spinning forever.
+uint64_t watchdogBudget(const CompiledKernel &Kernel,
+                        const LaunchConfig &Config,
+                        const std::vector<ArgValue> &Args) {
+  if (Config.MaxWarpInstructions != 0)
+    return Config.MaxWarpInstructions;
+  uint64_t MaxScalar = 0;
+  for (const ArgValue &A : Args)
+    if (!A.IsBuffer)
+      MaxScalar = std::max(MaxScalar,
+                           static_cast<uint64_t>(std::max(0ll, A.Scalar.I)));
+  uint64_t NumWarps = (Config.BlockDim + WarpLanes - 1) / WarpLanes;
+  return (1ull << 20) + 4096ull * (Kernel.Code.size() + 16) * NumWarps +
+         64ull * MaxScalar;
+}
+
+uint64_t hottestAddressOps(const BlockExecutor &Exec) {
+  uint64_t Hot = 0;
+  for (const auto &[Addr, Ops] : Exec.GlobalAtomicAddrOps)
+    Hot = std::max(Hot, Ops);
+  return Hot;
+}
+
+/// True when no probe failed (the last block included) and the interior
+/// probes \p Probes[1] and \p Probes[2] reproduce \p Probes[0] exactly.
+bool probesAgree(const std::vector<BlockOutcome> &Outcomes,
+                 const std::vector<size_t> &Probes) {
+  for (size_t P : Probes)
+    if (!Outcomes[P].Errors.empty() || Outcomes[P].DeadlineExceeded)
+      return false;
+  const BlockOutcome &Ref = Outcomes[Probes[0]];
+  for (size_t P : {Probes[1], Probes[2]})
+    if (Outcomes[P].Stats != Ref.Stats || Outcomes[P].HotOps != Ref.HotOps)
+      return false;
+  return true;
+}
+
+} // namespace
+
+BlockOutcome SimtMachine::interpretBlock(const CompiledKernel &Kernel,
+                                         const LaunchConfig &Config,
+                                         const std::vector<ArgValue> &Args,
+                                         unsigned Block) const {
+  BlockOutcome O;
+  BlockExecutor Exec(Dev, Arch, Kernel, Config, Args, Block, O.Stats,
+                     O.Errors, &O.Effects, /*Race=*/nullptr,
+                     /*Fault=*/nullptr, watchdogBudget(Kernel, Config, Args));
+  Exec.run();
+  O.DeadlineExceeded = Exec.hitDeadline();
+  O.HotOps = hottestAddressOps(Exec);
+  return O;
+}
+
 LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
                                  const LaunchConfig &Config,
                                  const std::vector<ArgValue> &Args,
@@ -1073,26 +1135,9 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
   }
   Result.Sampled = Sampled;
   Result.BlocksSimulated = static_cast<unsigned>(Blocks.size());
+  Result.BlocksInterpreted = Result.BlocksSimulated;
 
   uint64_t HotOps = 0;
-  // Watchdog budget: callers can size it precisely; 0 derives a generous
-  // default from the kernel size, warp count, and the largest scalar
-  // argument (a proxy for the problem size a serial kernel may legally
-  // walk). The default is deliberately loose — orders of magnitude above
-  // any legitimate kernel's issue count — but finite, so a livelocked
-  // lock loop always traps instead of spinning forever.
-  uint64_t Budget = Config.MaxWarpInstructions;
-  if (Budget == 0) {
-    uint64_t MaxScalar = 0;
-    for (const ArgValue &A : Args)
-      if (!A.IsBuffer)
-        MaxScalar = std::max(MaxScalar,
-                             static_cast<uint64_t>(std::max(0ll, A.Scalar.I)));
-    uint64_t NumWarps = (Config.BlockDim + WarpLanes - 1) / WarpLanes;
-    Budget = (1ull << 20) +
-             4096ull * (Kernel.Code.size() + 16) * NumWarps +
-             64ull * MaxScalar;
-  }
   // RaceCheck interleaves one detector through every block in block-index
   // order, so it forces the sequential path (and, because Sampled is off,
   // the full grid). An active fault plan does the same: one injector's
@@ -1104,10 +1149,15 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
   std::unique_ptr<FaultInjector> Injector;
   if (Fault.active())
     Injector = std::make_unique<FaultInjector>(Fault);
-  const bool Parallel = !Race && !Injector && Pool &&
-                        Pool->getThreadCount() > 1 && Blocks.size() > 1 &&
+  // Order-independent launches defer block writes (see interpretBlock):
+  // always when Sampled, so probing behaves the same on every thread count,
+  // and otherwise only when a pool can run the blocks concurrently.
+  const bool Threaded = Pool && Pool->getThreadCount() > 1;
+  const bool Deferred = !Race && !Injector &&
+                        (Sampled || (Threaded && Blocks.size() > 1)) &&
                         !kernelLoadsWrittenBuffer(Kernel, Args);
-  if (!Parallel) {
+  if (!Deferred) {
+    const uint64_t Budget = watchdogBudget(Kernel, Config, Args);
     for (unsigned B : Blocks) {
       ExecStats BlockStats;
       if (Race)
@@ -1117,51 +1167,59 @@ LaunchResult SimtMachine::launch(const CompiledKernel &Kernel,
                          Injector.get(), Budget);
       Exec.run();
       Result.DeadlineExceeded |= Exec.hitDeadline();
-      uint64_t BlockHot = 0;
-      for (const auto &[Addr, Ops] : Exec.GlobalAtomicAddrOps)
-        BlockHot = std::max(BlockHot, Ops);
-      HotOps += BlockHot;
+      HotOps += hottestAddressOps(Exec);
       if (Result.SharedBytesPerBlock == 0)
         Result.SharedBytesPerBlock = BlockStats.SharedBytes;
       Result.Stats.accumulate(BlockStats);
     }
   } else {
-    // Interpret blocks concurrently. Every block reads the pristine device
-    // image (the gate above rejected kernels that load what they write) and
-    // defers its writes into a private program-ordered log; replaying the
-    // logs and merging stats/errors in block-index order afterwards keeps
-    // results, cycle counts, and error lists bit-identical to the
-    // sequential loop above.
-    struct BlockOutcome {
-      ExecStats Stats;
-      std::vector<std::string> Errors;
-      std::vector<GlobalEffect> Effects;
-      uint64_t HotOps = 0;
-      bool DeadlineExceeded = false;
-    };
+    // Every block reads the pristine device image (the gate above rejected
+    // kernels that load what they write); merging outcomes in block-index
+    // order keeps results, cycle counts, and error lists bit-identical to
+    // the sequential loop above.
     std::vector<BlockOutcome> Outcomes(Blocks.size());
-    Pool->parallelFor(Blocks.size(), [&](size_t I) {
-      BlockOutcome &O = Outcomes[I];
-      BlockExecutor Exec(Dev, Arch, Kernel, Config, Args, Blocks[I], O.Stats,
-                         O.Errors, &O.Effects, /*Race=*/nullptr,
-                         /*Fault=*/nullptr, Budget);
-      Exec.run();
-      O.DeadlineExceeded = Exec.hitDeadline();
-      for (const auto &[Addr, Ops] : Exec.GlobalAtomicAddrOps)
-        O.HotOps = std::max(O.HotOps, Ops);
-    });
+    auto Interpret = [&](const std::vector<size_t> &Slots) {
+      auto One = [&](size_t I) {
+        Outcomes[Slots[I]] =
+            interpretBlock(Kernel, Config, Args, Blocks[Slots[I]]);
+      };
+      if (Threaded && Slots.size() > 1)
+        Pool->parallelFor(Slots.size(), One);
+      else
+        for (size_t I = 0; I != Slots.size(); ++I)
+          One(I);
+    };
+    std::vector<size_t> Rest;
+    if (Sampled) {
+      // Probe blocks 0, 1, 46 and the last. When the interior probes agree
+      // with block 0, block 0's outcome stands in for blocks 2-45: the
+      // merge below then makes the same sequence of additions as with 47
+      // interpreted interior blocks (repeated adds, not a multiply — the
+      // cost factors are not dyadic), so WarpCycles stays bit-identical.
+      const size_t Last = Blocks.size() - 1;
+      const std::vector<size_t> Probes = {0, 1, Last - 1, Last};
+      Interpret(Probes);
+      const bool Agree = probesAgree(Outcomes, Probes);
+      support::Statistics::get().add(Agree ? "gpusim.sampled-probe-hits"
+                                           : "gpusim.sampled-probe-misses");
+      for (size_t I = 2; I + 1 != Last; ++I) {
+        if (!Agree) {
+          Rest.push_back(I);
+          continue;
+        }
+        Outcomes[I].Stats = Outcomes[0].Stats;
+        Outcomes[I].HotOps = Outcomes[0].HotOps;
+      }
+      Result.BlocksInterpreted =
+          static_cast<unsigned>(Probes.size() + Rest.size());
+    } else {
+      Rest.resize(Blocks.size());
+      std::iota(Rest.begin(), Rest.end(), size_t(0));
+    }
+    Interpret(Rest);
     for (BlockOutcome &O : Outcomes) {
       Result.DeadlineExceeded |= O.DeadlineExceeded;
-      for (const GlobalEffect &E : O.Effects) {
-        Buffer &B = Dev.get(E.Buf);
-        if (E.Atomic) {
-          Cell C = B.load(E.Idx);
-          foldCell(E.Op, E.Ty, C, E.Value);
-          B.store(E.Idx, C);
-        } else {
-          B.store(E.Idx, E.Value);
-        }
-      }
+      O.commit(Dev);
       for (std::string &Msg : O.Errors)
         if (Result.Errors.size() < 8)
           Result.Errors.push_back(std::move(Msg));

@@ -14,9 +14,18 @@
 ///
 /// Three execution modes:
 ///  - Functional: every block runs; results in device memory are exact.
-///  - Sampled: only a subset of blocks runs (homogeneous-grid assumption)
-///    and event counts are scaled; used by the benchmark harness for the
-///    paper's multi-hundred-million-element sizes.
+///  - Sampled: grids larger than SimtMachine::SampledBlocks (48) are priced
+///    from blocks 0-46 plus the (possibly ragged) last block, with event
+///    counts scaled by GridDim / 48; used by the tuner and the benchmark
+///    harness for the paper's multi-hundred-million-element sizes. When no
+///    block observes another's writes, the launch first interprets only
+///    the probe blocks {0, 1, 46, last}. If blocks 1 and 46 match block 0
+///    exactly (ExecStats and hot-atomic count) and no probe failed, block
+///    0's outcome stands in for blocks 2-45 and the merge repeats the same
+///    additions the 48-block loop would make, so cycle counts are
+///    bit-identical; otherwise the other 44 blocks run too. Only the
+///    interpreted blocks' global writes land, so a sampled launch's memory
+///    contents are not a result (in-tree callers read only modeled time).
 ///  - RaceCheck: every block runs sequentially while a RaceDetector records
 ///    all shared/global accesses and reports data races (see
 ///    RaceDetector.h for the happens-before model).
@@ -108,12 +117,47 @@ struct ExecStats {
 
   void scale(double Factor);
   void accumulate(const ExecStats &Other);
+
+  /// Field-wise equality. WarpCycles is a sum of finite positive costs, so
+  /// equal values are equal bit patterns.
+  bool operator==(const ExecStats &) const = default;
+};
+
+/// One global-memory write a block deferred (see BlockOutcome). Entries
+/// keep program order within the block; replaying whole logs in
+/// block-index order reproduces the exact memory state the sequential
+/// block loop would have produced.
+struct GlobalEffect {
+  BufferId Buf = 0;
+  size_t Idx = 0;
+  bool Atomic = false;
+  ReduceOp Op = ReduceOp::Add;
+  ir::ScalarType Ty = ir::ScalarType::I32;
+  Cell Value;
+};
+
+/// What interpreting one block produced, its global writes still deferred.
+struct BlockOutcome {
+  ExecStats Stats;
+  std::vector<std::string> Errors;
+  std::vector<GlobalEffect> Effects;
+  /// Updates of the block's most contended global atomic address.
+  uint64_t HotOps = 0;
+  bool DeadlineExceeded = false;
+
+  /// Replays Effects into \p Dev in program order.
+  void commit(Device &Dev) const;
 };
 
 /// Result of one kernel launch.
 struct LaunchResult {
   ExecStats Stats;
+  /// Blocks the launch accounts for: the whole grid, or SampledBlocks
+  /// when Sampled (the stats are scaled by GridDim / BlocksSimulated).
   unsigned BlocksSimulated = 0;
+  /// Blocks actually interpreted: BlocksSimulated, or 4 when a Sampled
+  /// launch's probe blocks matched and block 0 stood in for the rest.
+  unsigned BlocksInterpreted = 0;
   unsigned GridDim = 0;
   unsigned BlockDim = 0;
   bool Sampled = false;
@@ -143,14 +187,17 @@ struct LaunchResult {
 
 /// Executes kernels on a Device according to an ArchDesc.
 ///
-/// When constructed with a thread pool of more than one thread, independent
-/// blocks are interpreted concurrently: each block runs against the pristine
+/// A launch is order-independent when no block can observe another's
+/// writes: no RaceCheck, no active fault plan, and the kernel loads no
+/// buffer it also writes (store or atomic). Such launches interpret their
+/// blocks through interpretBlock: each block runs against the pristine
 /// device image and defers its global-memory writes into a private,
-/// program-ordered effect log; after all blocks finish, the logs are
-/// replayed in block-index order. Functional results, modeled cycle counts,
-/// and error lists are therefore bit-identical to the sequential path.
-/// Kernels that load a buffer they also write (store or atomic) fall back to
-/// sequential execution automatically.
+/// program-ordered effect log; the logs are replayed in block-index order
+/// afterwards. With a thread pool of more than one thread the blocks run
+/// concurrently. Functional results, modeled cycle counts, and error lists
+/// are bit-identical to the sequential in-place loop that every other
+/// launch runs. Sampled launches probe only when order-independent, on
+/// every thread count alike (see the file comment).
 class SimtMachine {
 public:
   SimtMachine(Device &Dev, const ArchDesc &Arch,
@@ -163,6 +210,17 @@ public:
                       const LaunchConfig &Config,
                       const std::vector<ArgValue> &Args,
                       ExecMode Mode = ExecMode::Functional);
+
+  /// Interprets block \p Block of the launch (\p Kernel, \p Config,
+  /// \p Args) against the current device image, deferring its global
+  /// writes into the outcome. This is the per-block step of every
+  /// order-independent launch; committing the outcomes of a grid's blocks
+  /// in block-index order reproduces the sequential loop's memory. Safe to
+  /// call concurrently.
+  BlockOutcome interpretBlock(const ir::CompiledKernel &Kernel,
+                              const LaunchConfig &Config,
+                              const std::vector<ArgValue> &Args,
+                              unsigned Block) const;
 
   /// Maximum blocks sampled per launch in Sampled mode.
   static constexpr unsigned SampledBlocks = 48;

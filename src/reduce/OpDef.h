@@ -21,7 +21,7 @@
 #define TANGRAM_REDUCE_OPDEF_H
 
 #include "gpusim/Arch.h"
-#include "gpusim/Device.h"
+#include "gpusim/Cell.h"
 #include "ir/KernelIR.h"
 #include "support/ReduceOp.h"
 
