@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 
 using namespace tangram;
 using namespace tangram::engine;
@@ -219,11 +218,11 @@ LaunchResult ExecutionEngine::launch(const ir::CompiledKernel &Kernel,
   return Machine.launch(Kernel, Config, Args, Mode);
 }
 
-Expected<RunResult>
-ExecutionEngine::runReductionImpl(const synth::SynthesizedVariant &V,
-                                  BufferId In, size_t N, ExecMode Mode,
-                                  Backend B) {
-  RunResult Out;
+Expected<ReduceResult>
+ExecutionEngine::runVariant(const synth::SynthesizedVariant &V, BufferId In,
+                            size_t N, ExecMode Mode, Backend B) {
+  ReduceResult Out;
+  Out.Used = B;
 
   if (B == Backend::NativeCpu) {
     if (!V.Native)
@@ -293,7 +292,7 @@ ExecutionEngine::runReductionImpl(const synth::SynthesizedVariant &V,
       return Status(StatusCode::InternalError,
                     "two-kernel variant without a second stage");
     auto Stage =
-        runReductionImpl(*V.SecondStage, ReturnBuf, Config.GridDim, Mode, B);
+        runVariant(*V.SecondStage, ReturnBuf, Config.GridDim, Mode, B);
     if (!Stage)
       return Stage.status();
     Out.Seconds += Stage->Seconds;
@@ -353,26 +352,14 @@ Expected<ReduceResult> ExecutionEngine::run(const ReduceRequest &Req) {
   auto V = getVariant(Req.Desc, Req.Flags, Req.BackendKind);
   if (!V)
     return V.status();
-  auto Out = runReductionImpl(**V, Req.In, Req.N, Req.Mode, Req.BackendKind);
-  if (!Out)
-    return Out.status();
-  ReduceResult R;
-  static_cast<RunResult &>(R) = std::move(*Out);
-  R.Used = Req.BackendKind;
-  return R;
+  return runVariant(**V, Req.In, Req.N, Req.Mode, Req.BackendKind);
 }
 
 Expected<ReduceResult> ExecutionEngine::run(const ReduceRequest &Req,
                                             const synth::SynthesizedVariant &V) {
   if (Status S = admit(Req); !S.ok())
     return S;
-  auto Out = runReductionImpl(V, Req.In, Req.N, Req.Mode, Req.BackendKind);
-  if (!Out)
-    return Out.status();
-  ReduceResult R;
-  static_cast<RunResult &>(R) = std::move(*Out);
-  R.Used = Req.BackendKind;
-  return R;
+  return runVariant(V, Req.In, Req.N, Req.Mode, Req.BackendKind);
 }
 
 Expected<DiagnoseReport> ExecutionEngine::diagnose(const DiagnoseRequest &Req) {
@@ -380,14 +367,14 @@ Expected<DiagnoseReport> ExecutionEngine::diagnose(const DiagnoseRequest &Req) {
   Report.Kind = Req.Kind;
   switch (Req.Kind) {
   case DiagnoseKind::Race: {
-    auto R = raceCheckImpl(Req.Desc, Req.N, Req.Flags);
+    auto R = raceCheck(Req.Desc, Req.N, Req.Flags);
     if (!R)
       return R.status();
     Report.Race = std::move(*R);
     return Report;
   }
   case DiagnoseKind::Fault: {
-    auto F = faultCheckImpl(Req.Desc, Req.N, Req.Plan, Req.Flags);
+    auto F = faultCheck(Req.Desc, Req.N, Req.Plan, Req.Flags);
     if (!F)
       return F.status();
     Report.Fault = std::move(*F);
@@ -396,42 +383,15 @@ Expected<DiagnoseReport> ExecutionEngine::diagnose(const DiagnoseRequest &Req) {
   case DiagnoseKind::Validate:
     // Findings are data: a wrong result (or any trap along the way) lands
     // in the Validation arm, not in the Expected's Status.
-    Report.Validation = validateImpl(Req.Desc, Req.N, Req.BackendKind);
+    Report.Validation = validate(Req.Desc, Req.N, Req.BackendKind);
     return Report;
   }
   return Status(StatusCode::InvalidArgument, "unknown diagnose kind");
 }
 
-Expected<RunResult>
-ExecutionEngine::runReduction(const synth::SynthesizedVariant &V, BufferId In,
-                              size_t N, ExecMode Mode, Backend B) {
-  return runReductionImpl(V, In, N, Mode, B);
-}
-
-Expected<RunResult> ExecutionEngine::reduce(const synth::VariantDescriptor &Desc,
-                                            BufferId In, size_t N,
-                                            ExecMode Mode, Backend B) {
-  ReduceRequest Req;
-  Req.Desc = Desc;
-  Req.In = In;
-  Req.N = N;
-  Req.Mode = Mode;
-  Req.BackendKind = B;
-  auto Out = run(Req);
-  if (!Out)
-    return Out.status();
-  return RunResult(std::move(*Out));
-}
-
 Expected<RaceReport>
 ExecutionEngine::raceCheck(const synth::VariantDescriptor &Desc, size_t N,
                            const synth::OptimizationFlags &Flags) {
-  return raceCheckImpl(Desc, N, Flags);
-}
-
-Expected<RaceReport>
-ExecutionEngine::raceCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
-                               const synth::OptimizationFlags &Flags) {
   auto V = getVariant(Desc, Flags);
   if (!V)
     return V.status();
@@ -440,8 +400,7 @@ ExecutionEngine::raceCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
   // functionally, and virtual pattern buffers are read-only anyway.
   DeviceScope Scratch(Dev);
   BufferId In = allocCheckInput(Dev, (*V)->Elem, N);
-  auto Run = runReductionImpl(**V, In, N, ExecMode::RaceCheck,
-                              Backend::Simulator);
+  auto Run = runVariant(**V, In, N, ExecMode::RaceCheck, Backend::Simulator);
   if (!Run)
     return Run.status();
 
@@ -451,12 +410,6 @@ ExecutionEngine::raceCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
   Report.Truncated = Run->Launch.RaceCheckTruncated;
   Report.LaunchCount = (*V)->SecondStage ? 2 : 1;
   return Report;
-}
-
-double ExecutionEngine::timeVariant(const synth::VariantDescriptor &Desc,
-                                    size_t N) {
-  auto T = timeVariantChecked(Desc, N);
-  return T ? *T : std::numeric_limits<double>::infinity();
 }
 
 Expected<double>
@@ -481,20 +434,20 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
   // backend runs the real grid and reports wall-clock.
   ExecMode Mode =
       B == Backend::NativeCpu ? ExecMode::Functional : ExecMode::Sampled;
-  auto Out = runReductionImpl(**V, In, N, Mode, B);
+  auto Out = runVariant(**V, In, N, Mode, B);
   if (!Out && Out.status().Code == StatusCode::DeadlineExceeded &&
       RetryBudgetFactor > 1) {
     // One retry at an escalated budget: a genuinely slow configuration
     // finishes and survives; a livelocked one trips the watchdog again
     // and is quarantined below.
     BudgetEscalation = RetryBudgetFactor;
-    Out = runReductionImpl(**V, In, N, Mode, B);
+    Out = runVariant(**V, In, N, Mode, B);
     BudgetEscalation = 1;
   }
   if (Out && B == Backend::NativeCpu)
     // Steady-state wall-clock: the first run materialized the virtual input
     // and warmed caches; the second run is what a tuning/serving loop pays.
-    Out = runReductionImpl(**V, In, N, Mode, B);
+    Out = runVariant(**V, In, N, Mode, B);
   if (!Out) {
     quarantineVariant(Desc, Out.status());
     return Out.status();
@@ -502,13 +455,8 @@ ExecutionEngine::timeVariantChecked(const synth::VariantDescriptor &Desc,
   return Out->Seconds;
 }
 
-Status ExecutionEngine::validateVariant(const synth::VariantDescriptor &Desc,
-                                        size_t N, Backend B) {
-  return validateImpl(Desc, N, B);
-}
-
-Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
-                                     size_t N, Backend B) {
+Status ExecutionEngine::validate(const synth::VariantDescriptor &Desc,
+                                 size_t N, Backend B) {
   if (N == 0 || !Synth)
     return Status::success();
   // Sub is not associative: a tree schedule and a serial schedule disagree
@@ -542,7 +490,7 @@ Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
   long long RefI = Ref.valueI();
   long long RefIdx = Ref.index();
 
-  auto Run = runReductionImpl(**V, In, N, ExecMode::Functional, B);
+  auto Run = runVariant(**V, In, N, ExecMode::Functional, B);
   if (!Run) {
     quarantineVariant(Desc, Run.status());
     return Run.status();
@@ -553,8 +501,8 @@ Status ExecutionEngine::validateImpl(const synth::VariantDescriptor &Desc,
     // backends must agree bit-for-bit for integer and arg-reductions (the
     // native lowering shares the interpreter's exact semantics helpers)
     // and to a tight ULP-scale tolerance for summing float ops.
-    auto Oracle = runReductionImpl(**V, In, N, ExecMode::Functional,
-                                   Backend::Simulator);
+    auto Oracle =
+        runVariant(**V, In, N, ExecMode::Functional, Backend::Simulator);
     if (!Oracle) {
       quarantineVariant(Desc, Oracle.status());
       return Oracle.status();
@@ -671,8 +619,7 @@ ExecutionEngine::tune(const synth::VariantDescriptor &Desc, size_t N,
 
   for (const auto &[Seconds, Candidate] : Timed) {
     if (Opts.ValidateN) {
-      Status S = validateImpl(Candidate, Opts.ValidateN,
-                              Opts.TimingBackend);
+      Status S = validate(Candidate, Opts.ValidateN, Opts.TimingBackend);
       if (!S.ok()) {
         Report.Quarantined.push_back({Candidate, S});
         continue; // Fall back to the next-fastest configuration.
@@ -728,13 +675,6 @@ Expected<FaultReport>
 ExecutionEngine::faultCheck(const synth::VariantDescriptor &Desc, size_t N,
                             const sim::FaultPlan &Plan,
                             const synth::OptimizationFlags &Flags) {
-  return faultCheckImpl(Desc, N, Plan, Flags);
-}
-
-Expected<FaultReport>
-ExecutionEngine::faultCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
-                                const sim::FaultPlan &Plan,
-                                const synth::OptimizationFlags &Flags) {
   auto V = getVariant(Desc, Flags);
   if (!V)
     return V.status();
@@ -751,14 +691,12 @@ ExecutionEngine::faultCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
   // Clean reference first: simulation is deterministic, so the faulted run
   // can be compared bit-exactly — any divergence is the fault's doing.
   Machine.setFaultPlan(sim::FaultPlan());
-  auto Ref = runReductionImpl(**V, In, N, ExecMode::Functional,
-                              Backend::Simulator);
+  auto Ref = runVariant(**V, In, N, ExecMode::Functional, Backend::Simulator);
   if (!Ref)
     return Ref.status(); // Broken without any fault: a real error.
 
   Machine.setFaultPlan(Plan);
-  auto Run = runReductionImpl(**V, In, N, ExecMode::Functional,
-                              Backend::Simulator);
+  auto Run = runVariant(**V, In, N, ExecMode::Functional, Backend::Simulator);
 
   FaultReport Report;
   Report.Kind = Plan.Kind;

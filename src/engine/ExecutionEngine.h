@@ -228,37 +228,28 @@ public:
   support::Expected<ReduceResult> run(const ReduceRequest &Req,
                                       const synth::SynthesizedVariant &V);
 
-  /// Runs one diagnostic campaign (race detection, fault injection, or
-  /// functional validation) described by \p Req. See DiagnoseRequest for
-  /// which fields each kind consumes; see the DiagnoseReport arms for what
-  /// each kind yields. A Status escapes only for structural failures
+  /// Runs one diagnostic campaign described by \p Req. See DiagnoseRequest
+  /// for which fields each kind consumes; see the DiagnoseReport arms for
+  /// what each kind yields. A Status escapes only for structural failures
   /// (synthesis, a broken clean run) — findings are data, not errors.
+  ///
+  /// DiagnoseKind::Validate runs \p Req.Desc over \p Req.N materialized
+  /// elements and compares against a host-computed reference. A mismatch
+  /// (or any trap) quarantines the configuration and lands a non-Ok Status
+  /// in the Validation arm (StatusCode::WrongResult for mismatches).
+  /// Passing configurations are remembered and not re-validated.
+  /// Non-associative ops (Sub) are skipped: different schedules
+  /// legitimately disagree. With Backend::NativeCpu, validation is a
+  /// three-way cross-check: the native run must match the host reference
+  /// AND the simulator oracle's run of the same variant — bit-for-bit for
+  /// integer and arg-reductions, ULP-tolerance for summing float ops.
+  ///
+  /// DiagnoseKind::Fault is a campaign against one variant: a clean
+  /// reference run, then an identical run under \p Req.Plan, compared
+  /// bit-exactly (simulation is deterministic, so any divergence is the
+  /// fault's doing). Only a broken *clean* run produces a Status;
+  /// faulted-run failures are reported as FaultOutcome::Trapped.
   support::Expected<DiagnoseReport> diagnose(const DiagnoseRequest &Req);
-
-  /// Deprecated positional spellings, kept as shims over the request API.
-  [[deprecated("build a ReduceRequest and call run()")]]
-  support::Expected<RunResult>
-  runReduction(const synth::SynthesizedVariant &V, sim::BufferId In,
-               size_t N, sim::ExecMode Mode = sim::ExecMode::Functional,
-               Backend B = Backend::Simulator);
-
-  [[deprecated("build a ReduceRequest and call run()")]]
-  support::Expected<RunResult>
-  reduce(const synth::VariantDescriptor &Desc, sim::BufferId In, size_t N,
-         sim::ExecMode Mode = sim::ExecMode::Functional,
-         Backend B = Backend::Simulator);
-
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Race} and call "
-               "diagnose()")]]
-  support::Expected<RaceReport>
-  raceCheck(const synth::VariantDescriptor &Desc, size_t N,
-            const synth::OptimizationFlags &Flags = {});
-
-  /// Modeled seconds for \p Desc at size \p N over a scoped virtual input
-  /// (Sampled mode). Infinity when the variant fails to synthesize or run —
-  /// tuning loops price such variants out. Delegates to timeVariantChecked,
-  /// so failures also land the configuration in quarantine.
-  double timeVariant(const synth::VariantDescriptor &Desc, size_t N);
 
   /// Hardened timing: skips configurations already in quarantine, runs with
   /// the per-variant watchdog budget, retries DeadlineExceeded once at
@@ -272,22 +263,6 @@ public:
   timeVariantChecked(const synth::VariantDescriptor &Desc, size_t N,
                      unsigned RetryBudgetFactor = 8,
                      Backend B = Backend::Simulator);
-
-  /// Functional validation: runs \p Desc over \p N materialized elements
-  /// and compares against a host-computed reference. A mismatch (or any
-  /// trap) quarantines the configuration and returns a non-Ok Status
-  /// (StatusCode::WrongResult for mismatches). Passing configurations are
-  /// remembered and not re-validated. Non-associative ops (Sub) are
-  /// skipped: different schedules legitimately disagree.
-  /// With Backend::NativeCpu, validation is a three-way cross-check: the
-  /// native run must match the host reference (tolerance rules as below)
-  /// AND the simulator oracle's run of the same variant — bit-for-bit for
-  /// integer and arg-reductions, ULP-tolerance for summing float ops.
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Validate} and call "
-               "diagnose()")]]
-  support::Status validateVariant(const synth::VariantDescriptor &Desc,
-                                  size_t N = 2048,
-                                  Backend B = Backend::Simulator);
 
   /// Hardened tunable sweep for one structural candidate: times every
   /// (BlockSize, Coarsen) configuration through timeVariantChecked, then
@@ -305,18 +280,6 @@ public:
   support::Expected<TuneReport>
   findBest(const std::vector<synth::VariantDescriptor> &Candidates, size_t N,
            const TuneOptions &Opts = {});
-
-  /// Fault campaign against one variant: a clean reference run, then an
-  /// identical run under \p Plan, compared bit-exactly (simulation is
-  /// deterministic, so any divergence is the fault's doing). Only a broken
-  /// *clean* run produces a Status; faulted-run failures are reported as
-  /// FaultOutcome::Trapped.
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Fault} and call "
-               "diagnose()")]]
-  support::Expected<FaultReport>
-  faultCheck(const synth::VariantDescriptor &Desc, size_t N,
-             const sim::FaultPlan &Plan,
-             const synth::OptimizationFlags &Flags = {});
 
   /// Fault plan applied to every subsequent launch on this engine (tuning
   /// under injected faults is how the quarantine/fallback machinery is
@@ -343,20 +306,21 @@ private:
   const QuarantineRecord *
   findQuarantine(const synth::VariantDescriptor &Desc) const;
 
-  /// Shared bodies behind both the request API and the deprecated shims
-  /// (internal callers use these so the build stays deprecation-clean).
-  support::Expected<RunResult>
-  runReductionImpl(const synth::SynthesizedVariant &V, sim::BufferId In,
-                   size_t N, sim::ExecMode Mode, Backend B);
+  /// Executes \p V over \p In: allocates and identity-initializes the
+  /// accumulator, launches, models time, and recursively drives the second
+  /// stage for two-kernel variants. Used is set to \p B.
+  support::Expected<ReduceResult>
+  runVariant(const synth::SynthesizedVariant &V, sim::BufferId In, size_t N,
+             sim::ExecMode Mode, Backend B);
   support::Expected<RaceReport>
-  raceCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
-                const synth::OptimizationFlags &Flags);
-  support::Status validateImpl(const synth::VariantDescriptor &Desc,
-                               size_t N, Backend B);
+  raceCheck(const synth::VariantDescriptor &Desc, size_t N,
+            const synth::OptimizationFlags &Flags);
+  support::Status validate(const synth::VariantDescriptor &Desc, size_t N,
+                           Backend B);
   support::Expected<FaultReport>
-  faultCheckImpl(const synth::VariantDescriptor &Desc, size_t N,
-                 const sim::FaultPlan &Plan,
-                 const synth::OptimizationFlags &Flags);
+  faultCheck(const synth::VariantDescriptor &Desc, size_t N,
+             const sim::FaultPlan &Plan,
+             const synth::OptimizationFlags &Flags);
   /// Request-level admission checks (routing facts, deadline). Ok when the
   /// request may proceed on this engine.
   support::Status admit(const ReduceRequest &Req) const;
@@ -373,9 +337,9 @@ private:
   std::unordered_map<uint64_t, QuarantineRecord> Quarantine;
   /// Construction-time pack-import problems (see getStartupWarnings).
   std::vector<support::Status> StartupWarnings;
-  /// Configurations that already passed validateVariant.
+  /// Configurations that already passed validation.
   std::unordered_set<uint64_t> Validated;
-  /// Watchdog multiplier applied by runReduction (1 except during the
+  /// Watchdog multiplier applied by runVariant (1 except during the
   /// escalated-budget retry inside timeVariantChecked).
   unsigned BudgetEscalation = 1;
 };

@@ -69,7 +69,7 @@ struct JobSpec {
   }
 };
 
-/// A completed job. Value lanes follow engine::RunResult conventions: the
+/// A completed job. Value lanes follow engine::ReduceResult conventions: the
 /// lane matching the element type is authoritative, the other mirrors it.
 struct JobResult {
   double FloatValue = 0;

@@ -127,19 +127,6 @@ TangramReduction::diagnose(const sim::ArchDesc &Arch,
   return engineFor(Arch).diagnose(Req);
 }
 
-Expected<engine::RaceReport>
-TangramReduction::raceCheck(const VariantDescriptor &Desc,
-                            const sim::ArchDesc &Arch, size_t N) const {
-  engine::DiagnoseRequest Req;
-  Req.Kind = engine::DiagnoseKind::Race;
-  Req.Desc = Desc;
-  Req.N = N;
-  auto Report = engineFor(Arch).diagnose(Req);
-  if (!Report)
-    return Report.status();
-  return std::move(Report->Race);
-}
-
 std::string TangramReduction::renderRace(const sim::RaceDiagnostic &D) const {
   std::string Body = D.render();
   // Prefer the newer access's source position; scaffolding instructions
@@ -198,19 +185,4 @@ TangramReduction::findBest(const sim::ArchDesc &Arch, size_t N) const {
 Expected<engine::TuneReport>
 TangramReduction::findBestReport(const sim::ArchDesc &Arch, size_t N) const {
   return engineFor(Arch).findBest(Space.Pruned, N, makeTuneOptions());
-}
-
-Expected<engine::FaultReport>
-TangramReduction::faultCheck(const VariantDescriptor &Desc,
-                             const sim::ArchDesc &Arch, size_t N,
-                             const sim::FaultPlan &Plan) const {
-  engine::DiagnoseRequest Req;
-  Req.Kind = engine::DiagnoseKind::Fault;
-  Req.Desc = Desc;
-  Req.N = N;
-  Req.Plan = Plan;
-  auto Report = engineFor(Arch).diagnose(Req);
-  if (!Report)
-    return Report.status();
-  return std::move(Report->Fault);
 }

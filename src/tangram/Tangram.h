@@ -131,13 +131,6 @@ public:
   diagnose(const sim::ArchDesc &Arch,
            const engine::DiagnoseRequest &Req) const;
 
-  /// Deprecated positional spelling of diagnose(DiagnoseKind::Race).
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Race} and call "
-               "diagnose()")]]
-  support::Expected<engine::RaceReport>
-  raceCheck(const synth::VariantDescriptor &Desc, const sim::ArchDesc &Arch,
-            size_t N) const;
-
   /// "file:line:col: <diagnostic>" rendering of one race against the
   /// compiled codelet source (positions fall back to the raw diagnostic
   /// when the racing instruction is synthesized scaffolding).
@@ -168,13 +161,6 @@ public:
   /// first quarantined configuration and its failure.
   support::Expected<engine::TuneReport>
   findBestReport(const sim::ArchDesc &Arch, size_t N) const;
-
-  /// Deprecated positional spelling of diagnose(DiagnoseKind::Fault).
-  [[deprecated("build a DiagnoseRequest{DiagnoseKind::Fault} and call "
-               "diagnose()")]]
-  support::Expected<engine::FaultReport>
-  faultCheck(const synth::VariantDescriptor &Desc, const sim::ArchDesc &Arch,
-             size_t N, const sim::FaultPlan &Plan) const;
 
   /// Modeled seconds for a tuned descriptor at size \p N (sampled run on a
   /// virtual input).

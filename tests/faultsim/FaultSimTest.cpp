@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 using namespace tangram;
 using namespace tangram::synth;
@@ -210,8 +209,8 @@ TEST(Quarantine, StuckWarpLandsTheVariantInQuarantine) {
   ASSERT_FALSE(Records.empty());
   EXPECT_FALSE(Records.front().Why.Message.empty());
 
-  // And timeVariant() prices the quarantined configuration out.
-  EXPECT_TRUE(std::isinf(E.timeVariant(V, 4096)));
+  // Timing a quarantined configuration keeps pricing it out.
+  EXPECT_FALSE(E.timeVariantChecked(V, 4096).ok());
 
   E.clearQuarantine();
   EXPECT_FALSE(E.isQuarantined(V));

@@ -120,7 +120,7 @@ void checkAgainstReference(engine::ExecutionEngine &E,
   Device &Dev = E.getDevice();
   DeviceScope Scratch(Dev);
   BufferId In = Dev.allocVirtual(V.Elem, N, VirtualPattern());
-  // The launch the engine makes for this request (runReduction).
+  // The launch the engine makes for this request (ExecutionEngine::run).
   LaunchConfig Config = engine::makeLaunchConfig(V, N);
   ASSERT_GT(Config.GridDim, SimtMachine::SampledBlocks);
   BufferId Acc = Dev.alloc(V.Elem, 1);

@@ -16,8 +16,8 @@
 //   * bit-identical native results across engine thread counts (the
 //     parallel effect-log path vs the sequential path);
 //   * the engine contracts around the backend seam: backend-distinct
-//     cache keys, validateVariant's three-way cross-check, the RaceCheck
-//     refusal, and the DynamicSelector's native fallback tier.
+//     cache keys, the Validate diagnosis's three-way cross-check, the
+//     RaceCheck refusal, and the DynamicSelector's native fallback tier.
 //
 // Registered under the `native` ctest label (tier1-native preset).
 //

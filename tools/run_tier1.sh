@@ -40,7 +40,6 @@
 #   tools/run_tier1.sh --preset asan-ubsan    # same suite under ASan+UBSan
 #   tools/run_tier1.sh --preset tier1-native  # native-backend suite only
 #   tools/run_tier1.sh --preset tier1-serving # serving suite only
-#   tools/run_tier1.sh asan-ubsan             # legacy positional spelling
 #
 # `tier1-native` reuses the tier1 build and runs only the `native`
 # labeled suite — the native-CPU-backend differential tests that check
@@ -72,10 +71,8 @@ while [ $# -gt 0 ]; do
       CACHE=0; shift ;;
     -h|--help)
       sed -n '2,14p' "$0"; exit 0 ;;
-    -*)
-      echo "run_tier1.sh: unknown option '$1'" >&2; exit 2 ;;
     *)
-      PRESET="$1"; shift ;;
+      echo "run_tier1.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
 done
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"

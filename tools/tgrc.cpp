@@ -9,7 +9,7 @@
 //   tgrc <subcommand> [options] [args]
 //
 // Subcommands:
-//   list                         enumerated search space (default)
+//   list                         enumerated search space
 //   emit NAME [--bytecode]       CUDA C (or SIMT bytecode) for one variant
 //   tune NAME [--arch=A --n=N]   pick tunables by sampled simulation
 //        [--export=PACK]         bundle the winners (+ quarantine records)
@@ -39,7 +39,7 @@
 // Shared options:
 //   --op=add|sub|max|min|argmax|argmin|any
 //                          reduction operator (canonical source only)
-//   --type=f32|i32|i64|f64 element type (legacy float|int accepted)
+//   --type=f32|i32|i64|f64 element type
 //   --arch=kepler|maxwell|pascal|all   target architecture(s)
 //   --n=SIZE               problem size (elements)
 //   --backend=sim|native   clock used by tune/best: the simulator's cycle
@@ -54,9 +54,7 @@
 //   --print-after-all      dump the unit after every pipeline pass
 //   --verify-each          run the IR verifier after every lowering pass
 //
-// Legacy spellings remain accepted: --list-variants, --emit-cuda=NAME,
-// --emit-bytecode=NAME, --racecheck[=NAME], and a bare FILE argument
-// (routed to `check`).
+// Without a recognised subcommand tgrc prints usage and exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,7 +91,8 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: tgrc <list|emit|tune|best|racecheck|check> [options] [args]\n"
+      "usage: tgrc <list|emit|tune|best|racecheck|faultcheck|check|serve>\n"
+      "            [options] [args]\n"
       "  tgrc list\n"
       "  tgrc emit NAME [--bytecode]\n"
       "  tgrc tune NAME [--arch=kepler|maxwell|pascal|all] [--n=SIZE]\n"
@@ -114,7 +113,7 @@ int usage() {
       "             [--chaos=compile-fail|slow-worker|spurious-reject|\n"
       "              quarantine-storm|queue-delay] [--seed=S] [--period=P]\n"
       "shared options: --op=add|sub|max|min|argmax|argmin|any\n"
-      "                --type=f32|i32|i64|f64 (legacy: float|int)\n"
+      "                --type=f32|i32|i64|f64\n"
       "                --time-passes --stats --print-after-all "
       "--verify-each\n");
   return 2;
@@ -150,10 +149,6 @@ struct DriverOptions {
   std::string PackExport;
   std::vector<std::string> PackImports;
   std::vector<std::string> Positional;
-
-  // Legacy flag spellings, mapped onto subcommands in main().
-  std::string LegacyEmitCuda, LegacyEmitBytecode, LegacyRaceCheck;
-  bool LegacyList = false;
 };
 
 bool parseArchSet(const std::string &Name, std::vector<sim::ArchDesc> &Out) {
@@ -191,16 +186,6 @@ bool parseOptions(int Argc, char **Argv, DriverOptions &O) {
       O.Create.PM.VerifyEach = true;
     else if (!std::strcmp(Arg, "--bytecode"))
       O.Bytecode = true;
-    else if (!std::strcmp(Arg, "--list-variants"))
-      O.LegacyList = true;
-    else if (!std::strncmp(Arg, "--emit-cuda=", 12))
-      O.LegacyEmitCuda = Arg + 12;
-    else if (!std::strncmp(Arg, "--emit-bytecode=", 16))
-      O.LegacyEmitBytecode = Arg + 16;
-    else if (!std::strcmp(Arg, "--racecheck"))
-      O.LegacyRaceCheck = "all";
-    else if (!std::strncmp(Arg, "--racecheck=", 12))
-      O.LegacyRaceCheck = Arg + 12;
     else if (!std::strncmp(Arg, "--arch=", 7)) {
       if (!parseArchSet(Arg + 7, O.Archs))
         return false;
@@ -276,14 +261,9 @@ bool parseOptions(int Argc, char **Argv, DriverOptions &O) {
       if (!parseReduceOp(Arg + 5, O.Create.Op))
         return false;
     } else if (!std::strncmp(Arg, "--type=", 7)) {
-      std::string Ty = Arg + 7;
-      // Legacy spellings stay accepted alongside the OpDef table's
-      // f32/i32/i64/f64 names.
-      if (Ty == "float")
-        Ty = "f32";
-      else if (Ty == "int")
-        Ty = "i32";
-      if (!reduce::parseScalarType(Ty, O.Create.Elem))
+      // Canonical spellings only; parseScalarType also takes C aliases.
+      if (!reduce::parseScalarType(Arg + 7, O.Create.Elem) ||
+          std::strcmp(Arg + 7, reduce::getScalarTypeSpelling(O.Create.Elem)))
         return false;
     } else if (Arg[0] == '-')
       return false;
@@ -963,35 +943,10 @@ int main(int Argc, char **Argv) {
   if (!parseOptions(Argc, Argv, O))
     return usage();
 
-  std::string Cmd;
-  if (!O.Positional.empty()) {
-    const std::string &First = O.Positional.front();
-    if (First == "list" || First == "emit" || First == "tune" ||
-        First == "best" || First == "racecheck" || First == "faultcheck" ||
-        First == "check" || First == "serve") {
-      Cmd = First;
-      O.Positional.erase(O.Positional.begin());
-    }
-  }
-
-  // Map legacy flag spellings onto subcommands.
-  if (Cmd.empty()) {
-    if (!O.LegacyEmitCuda.empty()) {
-      Cmd = "emit";
-      O.Positional = {O.LegacyEmitCuda};
-    } else if (!O.LegacyEmitBytecode.empty()) {
-      Cmd = "emit";
-      O.Bytecode = true;
-      O.Positional = {O.LegacyEmitBytecode};
-    } else if (!O.LegacyRaceCheck.empty()) {
-      Cmd = "racecheck";
-      O.Positional = {O.LegacyRaceCheck};
-    } else if (!O.Positional.empty()) {
-      Cmd = "check"; // bare FILE argument
-    } else {
-      Cmd = "list"; // includes legacy --list-variants / dump flags
-    }
-  }
+  if (O.Positional.empty())
+    return usage();
+  std::string Cmd = O.Positional.front();
+  O.Positional.erase(O.Positional.begin());
 
   // Default architectures: tune/best sweep all three generations (the
   // paper's portability claim is per-arch), everything else runs Pascal.
